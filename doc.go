@@ -283,9 +283,11 @@
 // nondeterministically-ordered map iteration, float accumulation under
 // unordered iteration, and wall-clock/global-rand reads in result-affecting
 // packages (with written //determlint waivers for provably
-// order-independent sites), and fingerprintcover proves every option field
-// is either hashed by the cache fingerprint or justified on its exclusion
-// list. The cmd/sunfloor-lint multichecker runs the suite together with
+// order-independent sites; the graph core and the router need none, since
+// their adjacency and per-link tables are index-ordered arrays whose
+// iteration order is ascending by construction), and fingerprintcover
+// proves every option field is either hashed by the cache fingerprint or
+// justified on its exclusion list. The cmd/sunfloor-lint multichecker runs the suite together with
 // go vet ("go run ./cmd/sunfloor-lint ./..."), and CI blocks on it.
 //
 // The implementation lives in the internal/ packages:

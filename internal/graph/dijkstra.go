@@ -87,11 +87,11 @@ func (g *Graph) dijkstra(src, target int) (dist []float64, prev []int) {
 		if u == target {
 			return dist, prev
 		}
-		// Relax neighbours in ascending vertex order: with map iteration the
-		// predecessor recorded for an equal-cost tie — and therefore the
-		// reconstructed path — would depend on the run's map seed.
-		for _, v := range g.Successors(u) {
-			w := g.adj[u][v]
+		// Relax neighbours in ascending vertex order (the arc-slice order), so
+		// the predecessor recorded for an equal-cost tie — and therefore the
+		// reconstructed path — is fixed.
+		for _, a := range g.adj[u] {
+			v, w := a.to, a.w
 			if w >= Infinity || settled[v] {
 				continue
 			}
@@ -123,9 +123,8 @@ func (g *Graph) HopDistance(src, dst int) int {
 	for len(queue) > 0 {
 		u := queue[0]
 		queue = queue[1:]
-		//determlint:ordered BFS level numbers are unique minima; the returned hop count is identical for every intra-level visit order
-		for v := range g.adj[u] {
-			if dist[v] == -1 {
+		for _, a := range g.adj[u] {
+			if v := a.to; dist[v] == -1 {
 				dist[v] = dist[u] + 1
 				if v == dst {
 					return dist[v]

@@ -2,8 +2,13 @@
 // flow: weighted directed graphs, shortest paths (Dijkstra), reachability,
 // cycle detection (for deadlock-freedom checks on channel dependency graphs)
 // and balanced k-way min-cut partitioning (recursive bisection with
-// Fiduccia–Mattheyses refinement), which implements the "min-cut partitions"
-// steps of Algorithms 1 and 2 of the paper.
+// Kernighan–Lin pairwise-swap refinement), which implements the "min-cut
+// partitions" steps of Algorithms 1 and 2 of the paper.
+//
+// Adjacency is stored as per-vertex arc slices kept in ascending target
+// order, so every traversal and every floating-point fold over the edges
+// runs in index order by construction: no map iteration and no sorting
+// step stands between the graph and a deterministic result.
 package graph
 
 import (
@@ -17,11 +22,20 @@ type Edge struct {
 	Weight   float64
 }
 
+// arc is one out-edge of a vertex.
+type arc struct {
+	to int
+	w  float64
+}
+
 // Graph is a weighted directed graph over vertices 0..N-1. Parallel edges are
 // merged by summing their weights.
 type Graph struct {
-	n   int
-	adj []map[int]float64 // adj[u][v] = weight of edge u->v
+	n int
+	// adj[u] holds the out-arcs of u in ascending target order. Keeping the
+	// slices sorted on insert makes every iteration over the graph — and
+	// every float fold over its weights — index-ordered by construction.
+	adj [][]arc
 }
 
 // New returns an empty graph with n vertices.
@@ -29,11 +43,7 @@ func New(n int) *Graph {
 	if n < 0 {
 		n = 0
 	}
-	g := &Graph{n: n, adj: make([]map[int]float64, n)}
-	for i := range g.adj {
-		g.adj[i] = make(map[int]float64)
-	}
-	return g
+	return &Graph{n: n, adj: make([][]arc, n)}
 }
 
 // NumVertices returns the number of vertices.
@@ -45,22 +55,57 @@ func (g *Graph) NumVertices() int { return g.n }
 // graph of the router gains one vertex per newly opened link this way).
 func (g *Graph) Grow(k int) int {
 	first := g.n
-	for i := 0; i < k; i++ {
-		g.adj = append(g.adj, make(map[int]float64))
-	}
 	if k > 0 {
+		g.adj = append(g.adj, make([][]arc, k)...)
 		g.n += k
 	}
 	return first
 }
 
-// NumEdges returns the number of directed edges with non-zero weight.
+// NumEdges returns the number of directed edges. An edge created by AddEdge
+// counts even when its accumulated weight is zero; only SetEdge(u, v, 0) and
+// RemoveEdge delete an edge.
 func (g *Graph) NumEdges() int {
 	c := 0
-	for _, m := range g.adj {
-		c += len(m)
+	for _, as := range g.adj {
+		c += len(as)
 	}
 	return c
+}
+
+// find returns the position of the arc u->v in adj[u], or the position where
+// it would be inserted, and whether it is present.
+func (g *Graph) find(u, v int) (int, bool) {
+	as := g.adj[u]
+	lo, hi := 0, len(as)
+	for lo < hi {
+		mid := int(uint(lo+hi) >> 1)
+		if as[mid].to < v {
+			lo = mid + 1
+		} else {
+			hi = mid
+		}
+	}
+	return lo, lo < len(as) && as[lo].to == v
+}
+
+// insert places the arc u->v with weight w at position i of adj[u].
+func (g *Graph) insert(u, i, v int, w float64) {
+	as := append(g.adj[u], arc{})
+	copy(as[i+1:], as[i:])
+	as[i] = arc{to: v, w: w}
+	g.adj[u] = as
+}
+
+// add adds w to the edge u->v, creating it with weight 0 + w if absent (so a
+// -0 weight is stored as +0, exactly as summing into a zero cell would).
+func (g *Graph) add(u, v int, w float64) {
+	i, ok := g.find(u, v)
+	if ok {
+		g.adj[u][i].w += w
+		return
+	}
+	g.insert(u, i, v, 0+w)
 }
 
 // AddEdge adds weight w to the directed edge u->v (creating it if needed).
@@ -73,7 +118,7 @@ func (g *Graph) AddEdge(u, v int, w float64) {
 	if u == v {
 		return // ignore self loops; they never affect cuts or paths
 	}
-	g.adj[u][v] += w
+	g.add(u, v, w)
 }
 
 // SetEdge sets the weight of the directed edge u->v, overwriting any existing
@@ -85,17 +130,22 @@ func (g *Graph) SetEdge(u, v int, w float64) {
 		return
 	}
 	if w == 0 {
-		delete(g.adj[u], v)
+		g.RemoveEdge(u, v)
 		return
 	}
-	g.adj[u][v] = w
+	i, ok := g.find(u, v)
+	if ok {
+		g.adj[u][i].w = w
+		return
+	}
+	g.insert(u, i, v, w)
 }
 
 // HasEdge reports whether the directed edge u->v exists.
 func (g *Graph) HasEdge(u, v int) bool {
 	g.check(u)
 	g.check(v)
-	_, ok := g.adj[u][v]
+	_, ok := g.find(u, v)
 	return ok
 }
 
@@ -103,51 +153,51 @@ func (g *Graph) HasEdge(u, v int) bool {
 func (g *Graph) Weight(u, v int) float64 {
 	g.check(u)
 	g.check(v)
-	return g.adj[u][v]
+	if i, ok := g.find(u, v); ok {
+		return g.adj[u][i].w
+	}
+	return 0
 }
 
 // RemoveEdge deletes the directed edge u->v if present.
 func (g *Graph) RemoveEdge(u, v int) {
 	g.check(u)
 	g.check(v)
-	delete(g.adj[u], v)
+	if i, ok := g.find(u, v); ok {
+		g.adj[u] = append(g.adj[u][:i], g.adj[u][i+1:]...)
+	}
 }
 
 // Successors returns the targets of all out-edges of u in ascending order.
 func (g *Graph) Successors(u int) []int {
 	g.check(u)
-	out := make([]int, 0, len(g.adj[u]))
-	for v := range g.adj[u] {
-		out = append(out, v)
+	out := make([]int, len(g.adj[u]))
+	for i, a := range g.adj[u] {
+		out[i] = a.to
 	}
-	sort.Ints(out)
 	return out
 }
 
-// Edges returns all edges sorted by (From, To) for deterministic iteration.
+// Edges returns all edges in (From, To) order.
 func (g *Graph) Edges() []Edge {
 	var es []Edge
-	for u, m := range g.adj {
-		//determlint:ordered every (From, To) pair is appended exactly once and the final sort key (From, To) is total, so the returned order is independent of map order
-		for v, w := range m {
-			es = append(es, Edge{From: u, To: v, Weight: w})
+	if m := g.NumEdges(); m > 0 {
+		es = make([]Edge, 0, m)
+	}
+	for u, as := range g.adj {
+		for _, a := range as {
+			es = append(es, Edge{From: u, To: a.to, Weight: a.w})
 		}
 	}
-	sort.Slice(es, func(i, j int) bool {
-		if es[i].From != es[j].From {
-			return es[i].From < es[j].From
-		}
-		return es[i].To < es[j].To
-	})
 	return es
 }
 
 // Clone returns a deep copy of the graph.
 func (g *Graph) Clone() *Graph {
 	c := New(g.n)
-	for u, m := range g.adj {
-		for v, w := range m {
-			c.adj[u][v] = w
+	for u, as := range g.adj {
+		if len(as) > 0 {
+			c.adj[u] = append([]arc(nil), as...)
 		}
 	}
 	return c
@@ -155,61 +205,65 @@ func (g *Graph) Clone() *Graph {
 
 // Undirected returns a new graph where every edge u->v is mirrored as v->u
 // with the weights of both directions summed. Partitioning operates on the
-// undirected view of the communication graph.
+// undirected view of the communication graph. Each cell (x, y) sums its two
+// directed weights in ascending source order, starting from zero.
 func (g *Graph) Undirected() *Graph {
 	u := New(g.n)
-	for a, m := range g.adj {
-		//determlint:ordered cell (x, y) receives exactly the weights of directed edges (x, y) and (y, x), always in ascending outer-index order; map order only permutes writes to distinct cells, which commute
-		for b, w := range m {
-			u.adj[a][b] += w //determlint:ordered see loop waiver: per-cell operand order is fixed by the outer slice index
-			u.adj[b][a] += w //determlint:ordered see loop waiver: per-cell operand order is fixed by the outer slice index
+	for a, as := range g.adj {
+		for _, e := range as {
+			u.add(a, e.to, e.w)
+			u.add(e.to, a, e.w)
 		}
 	}
 	return u
 }
 
 // TotalWeight returns the sum of all edge weights, folded in (From, To)
-// order. Float addition is not associative, so summing in map iteration
-// order would drift by ULPs between runs.
+// order. Float addition is not associative, so the fold order is part of
+// the result.
 func (g *Graph) TotalWeight() float64 {
 	var t float64
-	for _, e := range g.Edges() {
-		t += e.Weight
+	for _, as := range g.adj {
+		for _, a := range as {
+			t += a.w
+		}
 	}
 	return t
 }
 
+// Colours of the depth-first search in HasCycle.
+const (
+	white uint8 = iota // unvisited
+	grey               // on the current search path
+	black              // finished: no cycle reachable
+)
+
 // HasCycle reports whether the directed graph contains a cycle. It is used on
 // channel dependency graphs to verify that a set of routes is deadlock free.
 func (g *Graph) HasCycle() bool {
-	const (
-		white = 0
-		grey  = 1
-		black = 2
-	)
-	color := make([]int, g.n)
-	var visit func(u int) bool
-	visit = func(u int) bool {
-		color[u] = grey
-		//determlint:ordered cycle existence is a property of the edge set; the boolean result is identical for every visit order
-		for v := range g.adj[u] {
-			switch color[v] {
-			case grey:
-				return true
-			case white:
-				if visit(v) {
-					return true
-				}
-			}
-		}
-		color[u] = black
-		return false
-	}
+	color := make([]uint8, g.n)
 	for u := 0; u < g.n; u++ {
-		if color[u] == white && visit(u) {
+		if color[u] == white && g.cycleFrom(u, color) {
 			return true
 		}
 	}
+	return false
+}
+
+// cycleFrom runs the depth-first search of HasCycle from u.
+func (g *Graph) cycleFrom(u int, color []uint8) bool {
+	color[u] = grey
+	for _, a := range g.adj[u] {
+		switch color[a.to] {
+		case grey:
+			return true
+		case white:
+			if g.cycleFrom(a.to, color) {
+				return true
+			}
+		}
+	}
+	color[u] = black
 	return false
 }
 
@@ -230,11 +284,10 @@ func (g *Graph) ConnectedComponents() [][]int {
 			u := stack[len(stack)-1]
 			stack = stack[:len(stack)-1]
 			comp = append(comp, u)
-			//determlint:ordered membership in a connected component is order-independent; each component is sorted below and components are emitted at their smallest vertex
-			for v := range und.adj[u] {
-				if !seen[v] {
-					seen[v] = true
-					stack = append(stack, v)
+			for _, a := range und.adj[u] {
+				if !seen[a.to] {
+					seen[a.to] = true
+					stack = append(stack, a.to)
 				}
 			}
 		}
@@ -246,15 +299,18 @@ func (g *Graph) ConnectedComponents() [][]int {
 
 // CutWeight returns the total weight of edges crossing between different
 // blocks of the given assignment (undirected sense: both directions counted
-// once each as they appear in the directed graph).
+// once each as they appear in the directed graph), folded in (From, To)
+// order.
 func (g *Graph) CutWeight(block []int) float64 {
 	if len(block) != g.n {
 		panic(fmt.Sprintf("graph: CutWeight assignment length %d != %d vertices", len(block), g.n))
 	}
 	var cut float64
-	for _, e := range g.Edges() {
-		if block[e.From] != block[e.To] {
-			cut += e.Weight
+	for u, as := range g.adj {
+		for _, a := range as {
+			if block[u] != block[a.to] {
+				cut += a.w
+			}
 		}
 	}
 	return cut

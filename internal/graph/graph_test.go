@@ -38,6 +38,24 @@ func TestAddAndQueryEdges(t *testing.T) {
 	if g.HasEdge(0, 3) {
 		t.Error("RemoveEdge failed")
 	}
+
+	// AddEdge with weight zero creates a zero-weight edge: it counts in
+	// NumEdges and is listed by Successors (partition neighbour lists rely
+	// on this). Only SetEdge(u, v, 0) and RemoveEdge delete an edge.
+	g.AddEdge(3, 1, 0)
+	if !g.HasEdge(3, 1) || g.Weight(3, 1) != 0 {
+		t.Error("AddEdge(3, 1, 0) should create a zero-weight edge")
+	}
+	if g.NumEdges() != 2 {
+		t.Errorf("NumEdges = %d, want 2 (1->2 and the zero-weight 3->1)", g.NumEdges())
+	}
+	if s := g.Successors(3); len(s) != 1 || s[0] != 1 {
+		t.Errorf("Successors(3) = %v, want [1]", s)
+	}
+	g.SetEdge(3, 1, 0)
+	if g.HasEdge(3, 1) || g.NumEdges() != 1 {
+		t.Error("SetEdge(3, 1, 0) should remove the zero-weight edge")
+	}
 }
 
 func TestGrow(t *testing.T) {

@@ -34,24 +34,30 @@ func PartitionK(g *Graph, k int) []int {
 		return assign
 	}
 	und := g.Undirected()
-	// Sorted neighbour lists, computed once: every weight summation below
-	// iterates neighbours in this fixed order so the float accumulation —
-	// and with it the whole partition — is bit-deterministic across runs,
-	// without re-sorting inside the refinement loops.
+	// Ascending neighbour lists and a dense weight matrix, computed once:
+	// every weight summation below iterates neighbours in this fixed order
+	// so the float accumulation — and with it the whole partition — is
+	// bit-deterministic, and every pairwise weight is a direct index.
 	nbrs := make([][]int, n)
+	w := make([][]float64, n)
+	cells := make([]float64, n*n)
 	for v := 0; v < n; v++ {
 		nbrs[v] = und.Successors(v)
+		w[v] = cells[v*n : (v+1)*n]
+		for _, a := range und.adj[v] {
+			w[v][a.to] = a.w
+		}
 	}
 	verts := make([]int, n)
 	for i := range verts {
 		verts[i] = i
 	}
-	partitionRec(und, nbrs, verts, k, 0, assign)
+	partitionRec(w, nbrs, verts, k, 0, assign)
 	return assign
 }
 
 // partitionRec assigns block identifiers [base, base+k) to the given vertices.
-func partitionRec(und *Graph, nbrs [][]int, verts []int, k, base int, assign []int) {
+func partitionRec(w [][]float64, nbrs [][]int, verts []int, k, base int, assign []int) {
 	if k == 1 {
 		for _, v := range verts {
 			assign[v] = base
@@ -63,9 +69,9 @@ func partitionRec(und *Graph, nbrs [][]int, verts []int, k, base int, assign []i
 	// Split the vertex count proportionally to the number of blocks on each
 	// side so that the leaves end up with floor(n/k) or ceil(n/k) vertices.
 	sizeA := balancedSplit(len(verts), k, kA)
-	sideA, sideB := bisect(und, nbrs, verts, sizeA)
-	partitionRec(und, nbrs, sideA, kA, base, assign)
-	partitionRec(und, nbrs, sideB, kB, base+kA, assign)
+	sideA, sideB := bisect(w, nbrs, verts, sizeA)
+	partitionRec(w, nbrs, sideA, kA, base, assign)
+	partitionRec(w, nbrs, sideB, kB, base+kA, assign)
 }
 
 // balancedSplit returns how many of n vertices go to the side that will hold
@@ -83,8 +89,9 @@ func balancedSplit(n, k, kA int) int {
 }
 
 // bisect splits verts into two groups of sizes sizeA and len(verts)-sizeA
-// minimising the cut between them (heuristically).
-func bisect(und *Graph, nbrs [][]int, verts []int, sizeA int) (a, b []int) {
+// minimising the cut between them (heuristically). w is the dense undirected
+// weight matrix and nbrs the ascending neighbour lists of the whole graph.
+func bisect(w [][]float64, nbrs [][]int, verts []int, sizeA int) (a, b []int) {
 	n := len(verts)
 	if sizeA <= 0 {
 		return nil, append([]int(nil), verts...)
@@ -92,7 +99,7 @@ func bisect(und *Graph, nbrs [][]int, verts []int, sizeA int) (a, b []int) {
 	if sizeA >= n {
 		return append([]int(nil), verts...), nil
 	}
-	inSet := make(map[int]bool, n)
+	inSet := make([]bool, len(w))
 	for _, v := range verts {
 		inSet[v] = true
 	}
@@ -101,12 +108,10 @@ func bisect(und *Graph, nbrs [][]int, verts []int, sizeA int) (a, b []int) {
 	// weight inside this sub-problem. Growing a connected cluster keeps
 	// highly-communicating cores together, which is exactly what the paper
 	// wants from the min-cut partitioner.
-	order := bfsOrder(und, nbrs, verts, inSet)
-	side := make(map[int]int, n) // vertex -> 0 (A) or 1 (B)
+	order := bfsOrder(w, nbrs, verts, inSet)
+	side := make([]int8, len(w)) // vertex -> 0 (A) or 1 (B); read only where inSet
 	for i, v := range order {
-		if i < sizeA {
-			side[v] = 0
-		} else {
+		if i >= sizeA {
 			side[v] = 1
 		}
 	}
@@ -124,7 +129,7 @@ func bisect(und *Graph, nbrs [][]int, verts []int, sizeA int) (a, b []int) {
 				if side[vb] != 1 {
 					continue
 				}
-				g := swapGain(und, nbrs, inSet, side, va, vb)
+				g := swapGain(w, nbrs, inSet, side, va, vb)
 				if g > bestGain+1e-12 {
 					bestGain, bestA, bestB = g, va, vb
 				}
@@ -152,22 +157,21 @@ func bisect(und *Graph, nbrs [][]int, verts []int, sizeA int) (a, b []int) {
 // the vertex with the largest incident weight, visiting neighbours in order
 // of decreasing connecting weight. Vertices unreachable from the seed are
 // appended by the same criterion.
-func bfsOrder(und *Graph, nbrs [][]int, verts []int, inSet map[int]bool) []int {
+func bfsOrder(w [][]float64, nbrs [][]int, verts []int, inSet []bool) []int {
 	// Incident weight inside the sub-problem. Neighbours are summed in the
-	// precomputed sorted order: map iteration order would change the float
-	// accumulation order between runs, and the resulting ULP-level
-	// differences can flip the sort below — the partitioner must be
+	// ascending order of nbrs: any other accumulation order could differ in
+	// the last ULPs and flip the sort below — the partitioner must be
 	// bit-deterministic because the engine's cached and uncached sweeps both
 	// rely on recomputing identical partitions.
-	weight := make(map[int]float64, len(verts))
+	weight := make([]float64, len(w))
 	for _, v := range verts {
-		var w float64
+		var s float64
 		for _, u := range nbrs[v] {
 			if inSet[u] {
-				w += und.adj[v][u]
+				s += w[v][u]
 			}
 		}
-		weight[v] = w
+		weight[v] = s
 	}
 	remaining := append([]int(nil), verts...)
 	sort.Slice(remaining, func(i, j int) bool {
@@ -177,8 +181,8 @@ func bfsOrder(und *Graph, nbrs [][]int, verts []int, inSet map[int]bool) []int {
 		return remaining[i] < remaining[j]
 	})
 
-	visited := make(map[int]bool, len(verts))
-	var order []int
+	visited := make([]bool, len(w))
+	order := make([]int, 0, len(verts))
 	for _, seed := range remaining {
 		if visited[seed] {
 			continue
@@ -197,8 +201,9 @@ func bfsOrder(und *Graph, nbrs [][]int, verts []int, inSet map[int]bool) []int {
 					next = append(next, v)
 				}
 			}
+			wu := w[u]
 			sort.Slice(next, func(i, j int) bool {
-				wi, wj := und.adj[u][next[i]], und.adj[u][next[j]]
+				wi, wj := wu[next[i]], wu[next[j]]
 				if wi != wj {
 					return wi > wj
 				}
@@ -215,19 +220,19 @@ func bfsOrder(und *Graph, nbrs [][]int, verts []int, inSet map[int]bool) []int {
 
 // swapGain returns the reduction in cut weight obtained by swapping va (in
 // side 0) with vb (in side 1). Positive is better.
-func swapGain(und *Graph, nbrs [][]int, inSet map[int]bool, side map[int]int, va, vb int) float64 {
-	// Sum in the precomputed sorted neighbour order for bit-deterministic
-	// gains (see the matching comment in bfsOrder).
-	ext := func(v, own int) (external, internal float64) {
+func swapGain(w [][]float64, nbrs [][]int, inSet []bool, side []int8, va, vb int) float64 {
+	// Sum in the ascending neighbour order for bit-deterministic gains (see
+	// the matching comment in bfsOrder).
+	ext := func(v int, own int8) (external, internal float64) {
+		wv := w[v]
 		for _, u := range nbrs[v] {
 			if !inSet[u] || u == va || u == vb {
 				continue
 			}
-			w := und.adj[v][u]
 			if side[u] == own {
-				internal += w
+				internal += wv[u]
 			} else {
-				external += w
+				external += wv[u]
 			}
 		}
 		return
@@ -236,7 +241,7 @@ func swapGain(und *Graph, nbrs [][]int, inSet map[int]bool, side map[int]int, va
 	extB, intB := ext(vb, 1)
 	// Gain from moving each vertex to the other side, corrected by twice the
 	// weight between them (classic KL formula).
-	return (extA - intA) + (extB - intB) - 2*und.adj[va][vb]
+	return (extA - intA) + (extB - intB) - 2*w[va][vb]
 }
 
 // BlockSizes returns the number of vertices in each block of an assignment

@@ -224,11 +224,11 @@ func (m *costModel) cost(i, j int, bw float64) float64 {
 }
 
 // shortestPath runs Dijkstra over the dense cached arc costs for a flow of
-// bandwidth bw, skipping arcs in forbidden (the deadlock-retry overlay, so
-// retries need no graph mutation at all). Neighbours relax in ascending index
-// order, making the returned path deterministic even between equal-cost
-// alternatives. It returns (nil, Infinity) when dst is unreachable.
-func (m *costModel) shortestPath(src, dst int, bw float64, forbidden map[[2]int]bool) ([]int, float64) {
+// bandwidth bw, skipping the arcs listed in forbidden (the deadlock-retry
+// overlay, so retries need no graph mutation at all). Neighbours relax in
+// ascending index order, making the returned path deterministic even between
+// equal-cost alternatives. It returns (nil, Infinity) when dst is unreachable.
+func (m *costModel) shortestPath(src, dst int, bw float64, forbidden [][2]int) ([]int, float64) {
 	n := m.n
 	for i := 0; i < n; i++ {
 		m.dist[i] = graph.Infinity
@@ -251,11 +251,12 @@ func (m *costModel) shortestPath(src, dst int, bw float64, forbidden map[[2]int]
 		}
 		m.settled[u] = true
 		state, planar, span, latency := m.state[u], m.planar[u], m.span[u], m.latency[u]
+		skip := leavesListed(forbidden, u) // any retry exclusion leaving u
 		for v := 0; v < n; v++ {
 			if m.settled[v] || state[v].forbidden {
 				continue
 			}
-			if len(forbidden) > 0 && forbidden[[2]int{u, v}] {
+			if skip && listed(forbidden, u, v) {
 				continue
 			}
 			c := m.r.evalArc(state[v], planar[v], span[v], latency[v], wf, bw, softInf)

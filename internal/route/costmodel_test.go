@@ -88,12 +88,16 @@ func TestIndirectSwitchRollbackThenReuse(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	top := topology.New(g, noclib.DefaultLibrary(), 400)
-	top.AttachCore(0, top.AddSwitch(0))
-	top.AttachCore(1, top.AddSwitch(4))
-	top.AttachCore(2, top.AddSwitch(0))
-	top.AttachCore(3, top.AddSwitch(2))
-	top.EstimateSwitchPositions()
+	build := func() *topology.Topology {
+		top := topology.New(g, noclib.DefaultLibrary(), 400)
+		top.AttachCore(0, top.AddSwitch(0))
+		top.AttachCore(1, top.AddSwitch(4))
+		top.AttachCore(2, top.AddSwitch(0))
+		top.AttachCore(3, top.AddSwitch(2))
+		top.EstimateSwitchPositions()
+		return top
+	}
+	top := build()
 
 	cfg := DefaultConfig()
 	cfg.AdjacentLayersOnly = true
@@ -110,6 +114,71 @@ func TestIndirectSwitchRollbackThenReuse(t *testing.T) {
 	}
 	if top.NumSwitches() != 5 {
 		t.Errorf("switch count = %d, want 5 (4 + 1 surviving indirect)", top.NumSwitches())
+	}
+
+	// Replay the same run step by step to inspect the router's per-link
+	// tables across the rollback.
+	top = build()
+	r := &router{top: top, cfg: cfg}
+	r.init()
+	if r.routeFlow(0) {
+		t.Fatal("flow 0 routed without an indirect switch")
+	}
+	if routed, kept := r.tryWithIndirectSwitch(0); routed || kept {
+		t.Fatalf("flow 0 indirect retry = (%v, %v), want a rollback", routed, kept)
+	}
+	assertSquareTables(t, r)
+
+	// Plant link vertices through a fresh insertion, roll it back, and
+	// insert again: the reused ID must come back with no link identity.
+	id := r.addSwitch(1, top.Switches[2].Pos)
+	r.ensureLinkVertex(2, id)
+	r.ensureLinkVertex(id, 3)
+	r.removeLastSwitch()
+	assertSquareTables(t, r)
+	if again := r.addSwitch(1, top.Switches[2].Pos); again != id {
+		t.Fatalf("re-inserted switch got ID %d, want reused %d", again, id)
+	}
+	assertSquareTables(t, r)
+	for s := 0; s < top.NumSwitches(); s++ {
+		if r.linkIdx[s][id] >= 0 || r.linkIdx[id][s] >= 0 || r.exists[s][id] || r.exists[id][s] {
+			t.Fatalf("reused switch %d inherits stale link state with switch %d", id, s)
+		}
+	}
+	r.removeLastSwitch()
+
+	// The real rescue of flow 1 reuses the ID too; every link entry of the
+	// reused switch then belongs to the committed route.
+	if routed, kept := r.tryWithIndirectSwitch(1); !routed || !kept {
+		t.Fatalf("flow 1 indirect retry = (%v, %v), want routed and kept", routed, kept)
+	}
+	assertSquareTables(t, r)
+	onRoute := make(map[[2]int]bool)
+	path := top.Routes[1].Switches
+	for i := 1; i < len(path); i++ {
+		onRoute[[2]int{path[i-1], path[i]}] = true
+	}
+	for s := 0; s < top.NumSwitches(); s++ {
+		for _, l := range [][2]int{{s, id}, {id, s}} {
+			if (r.linkIdx[l[0]][l[1]] >= 0 || r.exists[l[0]][l[1]]) && !onRoute[l] {
+				t.Errorf("link %d->%d of the reused switch has state but is not on route %v", l[0], l[1], path)
+			}
+		}
+	}
+}
+
+// assertSquareTables checks that the router's per-link tables match the
+// topology's switch count exactly.
+func assertSquareTables(t *testing.T, r *router) {
+	t.Helper()
+	n := r.top.NumSwitches()
+	if len(r.exists) != n || len(r.linkIdx) != n {
+		t.Fatalf("tables have %d/%d rows for %d switches", len(r.exists), len(r.linkIdx), n)
+	}
+	for i := 0; i < n; i++ {
+		if len(r.exists[i]) != n || len(r.linkIdx[i]) != n {
+			t.Fatalf("row %d has %d/%d columns for %d switches", i, len(r.exists[i]), len(r.linkIdx[i]), n)
+		}
 	}
 }
 

@@ -44,32 +44,22 @@ func RepairRoutes(t *topology.Topology, cfg Config, dead [][2]int) (RepairResult
 		return res, nil
 	}
 
-	// The fabricated link set is exactly what the committed routes imply.
-	fabricated := make(map[[2]int]bool)
-	for _, rt := range t.Routes {
-		for i := 1; i < len(rt.Switches); i++ {
-			fabricated[[2]int{rt.Switches[i-1], rt.Switches[i]}] = true
-		}
-	}
-	deadSet := make(map[[2]int]bool)
-	for _, d := range dead {
-		if !fabricated[d] {
-			return res, fmt.Errorf("route: dead link %d->%d is not a fabricated link of the topology", d[0], d[1])
-		}
-		deadSet[d] = true
+	allowed, deadSet, err := repairOverlay(t, dead)
+	if err != nil {
+		return res, err
 	}
 
 	// Partition the flows and save the surviving paths before the router
 	// resets every route.
 	crossesDead := func(path []int) bool {
 		for i := 1; i < len(path); i++ {
-			if deadSet[[2]int{path[i-1], path[i]}] {
+			if deadSet[path[i-1]][path[i]] {
 				return true
 			}
 		}
 		return false
 	}
-	stranded := make(map[int]bool)
+	stranded := make([]bool, len(t.Routes))
 	surviving := make([][]int, len(t.Routes))
 	for f, rt := range t.Routes {
 		if len(rt.Switches) == 0 {
@@ -82,7 +72,6 @@ func RepairRoutes(t *topology.Topology, cfg Config, dead [][2]int) (RepairResult
 			surviving[f] = rt.Switches
 		}
 	}
-	sort.Ints(res.Stranded)
 	if len(res.Stranded) == 0 {
 		return res, nil
 	}
@@ -90,13 +79,6 @@ func RepairRoutes(t *topology.Topology, cfg Config, dead [][2]int) (RepairResult
 	// Repair router: the arc universe is the surviving fabricated links only,
 	// and no switch can be added to a fabbed chip.
 	cfg.AllowIndirectSwitches = false
-	allowed := make(map[[2]int]bool, len(fabricated))
-	//determlint:ordered writes to distinct keys of a fresh map commute; the surviving content is order-independent
-	for l := range fabricated {
-		if !deadSet[l] {
-			allowed[l] = true
-		}
-	}
 	r := &router{top: t, cfg: cfg, allowed: allowed}
 	r.init()
 
@@ -128,4 +110,34 @@ func RepairRoutes(t *topology.Topology, cfg Config, dead [][2]int) (RepairResult
 	sort.Ints(res.Unroutable)
 	res.DeadlockRetries = r.deadlock
 	return res, nil
+}
+
+// repairOverlay returns the repair router's allowed overlay — the links the
+// committed routes imply (the fabricated set) minus the dead ones — and the
+// dead set itself, both as switch-indexed tables. Every dead link must be a
+// fabricated one.
+func repairOverlay(t *topology.Topology, dead [][2]int) (allowed, deadSet [][]bool, err error) {
+	n := t.NumSwitches()
+	allowed = newSquare(n, false)
+	for f, rt := range t.Routes {
+		for i, s := range rt.Switches {
+			if s < 0 || s >= n {
+				return nil, nil, fmt.Errorf("route: flow %d routes through unknown switch %d", f, s)
+			}
+			if i > 0 {
+				allowed[rt.Switches[i-1]][s] = true
+			}
+		}
+	}
+	deadSet = newSquare(n, false)
+	for _, d := range dead {
+		fabricated := d[0] >= 0 && d[0] < n && d[1] >= 0 && d[1] < n &&
+			(allowed[d[0]][d[1]] || deadSet[d[0]][d[1]])
+		if !fabricated {
+			return nil, nil, fmt.Errorf("route: dead link %d->%d is not a fabricated link of the topology", d[0], d[1])
+		}
+		allowed[d[0]][d[1]] = false
+		deadSet[d[0]][d[1]] = true
+	}
+	return allowed, deadSet, nil
 }

@@ -112,8 +112,75 @@ func TestRepairRoutesCertifiesDeadPlans(t *testing.T) {
 func TestRepairRoutesRejectsUnknownDeadLink(t *testing.T) {
 	top := triangleTopology(t)
 	// s1->s2 exists only in the reverse direction; it was never fabricated.
-	if _, err := RepairRoutes(top, DefaultConfig(), [][2]int{{1, 2}}); err == nil {
-		t.Error("unfabricated dead link accepted")
+	// The others name switches the topology does not have.
+	for _, d := range [][2]int{{1, 2}, {-1, 0}, {0, 3}, {7, 9}} {
+		if _, err := RepairRoutes(top, DefaultConfig(), [][2]int{d}); err == nil {
+			t.Errorf("unfabricated dead link %v accepted", d)
+		}
+	}
+}
+
+// TestRepairOverlayAdmitsOnlySurvivingLinks checks the repair router's
+// allowed overlay on a synthesized topology: it admits exactly the
+// fabricated links minus the dead ones, so neither a dead link nor a link
+// the chip never built is usable, and the repaired routes keep to it.
+func TestRepairOverlayAdmitsOnlySurvivingLinks(t *testing.T) {
+	g := buildDesign(t, 2, 8)
+	top := buildTopology(t, g, 2)
+	if res, err := ComputePaths(top, DefaultConfig()); err != nil || !res.Success() {
+		t.Fatalf("ComputePaths: %v (failed %v)", err, res.Failed)
+	}
+	n := top.NumSwitches()
+	fabricated := make(map[[2]int]bool)
+	for _, rt := range top.Routes {
+		for i := 1; i < len(rt.Switches); i++ {
+			fabricated[[2]int{rt.Switches[i-1], rt.Switches[i]}] = true
+		}
+	}
+	links := top.SwitchLinks()
+	if len(links) == 0 {
+		t.Skip("routed topology has no inter-switch link")
+	}
+	// Kill the first link twice over (a duplicate is not an error) and the
+	// last one.
+	first, last := links[0], links[len(links)-1]
+	dead := [][2]int{{first.From, first.To}, {first.From, first.To}, {last.From, last.To}}
+	isDead := map[[2]int]bool{dead[0]: true, dead[2]: true}
+
+	allowed, deadSet, err := repairOverlay(top, dead)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// init resets the routes, so the probe router works on a copy.
+	r := &router{top: top.Clone(), cfg: DefaultConfig(), allowed: allowed}
+	r.init()
+	for i := 0; i < n; i++ {
+		for j := 0; j < n; j++ {
+			l := [2]int{i, j}
+			want := fabricated[l] && !isDead[l]
+			if allowed[i][j] != want {
+				t.Errorf("allowed[%d][%d] = %v, want %v (fabricated %v, dead %v)",
+					i, j, allowed[i][j], want, fabricated[l], isDead[l])
+			}
+			if deadSet[i][j] != isDead[l] {
+				t.Errorf("deadSet[%d][%d] = %v, want %v", i, j, deadSet[i][j], isDead[l])
+			}
+			if !want && !r.arcState(i, j).forbidden {
+				t.Errorf("arc %d->%d is usable in repair mode but is dead or unbuilt", i, j)
+			}
+		}
+	}
+
+	if _, err := RepairRoutes(top, DefaultConfig(), dead); err != nil {
+		t.Fatal(err)
+	}
+	for f, rt := range top.Routes {
+		for i := 1; i < len(rt.Switches); i++ {
+			l := [2]int{rt.Switches[i-1], rt.Switches[i]}
+			if !fabricated[l] || isDead[l] {
+				t.Errorf("flow %d repaired over link %v that is dead or was never built", f, l)
+			}
+		}
 	}
 }
 

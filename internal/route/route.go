@@ -91,9 +91,9 @@ type router struct {
 	top *topology.Topology
 	cfg Config
 
-	// linkBW[from][to] is the bandwidth already committed to the directed
-	// physical link between two switches (only links that exist are present).
-	linkBW map[[2]int]float64
+	// exists[from][to] reports whether the directed physical link between
+	// two switches already carries traffic.
+	exists [][]bool
 	// ill[b] is the number of physical links crossing the boundary between
 	// layers b and b+1 (switch-to-switch and core-to-switch).
 	ill []int
@@ -102,17 +102,20 @@ type router struct {
 	// cdg is the channel dependency graph: one vertex per directed
 	// switch-to-switch link, an edge when some flow uses two links in
 	// sequence.
-	cdg      *graph.Graph
-	linkIdx  map[[2]int]int
+	cdg *graph.Graph
+	// linkIdx[from][to] is the CDG vertex of the directed link, -1 while
+	// no flow has been tested over it.
+	linkIdx  [][]int32
 	deadlock int
 	// softInf is the SOFT_INF penalty of Algorithm 3, fixed for the whole
 	// run (it depends only on the design, library, frequency and weights).
 	softInf float64
-	// allowed, when non-nil, restricts routing to the listed directed arcs.
-	// It is the repair-mode overlay: on a fabricated chip only the links that
-	// were actually built (minus the failed ones) are usable, whatever their
-	// current cost would be. nil (the synthesis case) allows every arc.
-	allowed map[[2]int]bool
+	// allowed, when non-nil, restricts routing to the arcs (i, j) with
+	// allowed[i][j] set. It is the repair-mode overlay: on a fabricated chip
+	// only the links that were actually built (minus the failed ones) are
+	// usable, whatever their current cost would be. nil (the synthesis case)
+	// allows every arc.
+	allowed [][]bool
 	// cost is the incrementally maintained arc-cost graph (nil when
 	// Config.FullRebuild selects the reference per-flow rebuild).
 	cost *costModel
@@ -171,10 +174,11 @@ func (r *router) init() {
 	if layers > 1 {
 		r.ill = make([]int, layers-1)
 	}
-	r.inPorts = make([]int, t.NumSwitches())
-	r.outPorts = make([]int, t.NumSwitches())
-	r.linkBW = make(map[[2]int]float64)
-	r.linkIdx = make(map[[2]int]int)
+	n := t.NumSwitches()
+	r.inPorts = make([]int, n)
+	r.outPorts = make([]int, n)
+	r.exists = newSquare(n, false)
+	r.linkIdx = newSquare(n, int32(-1))
 	r.cdg = graph.New(0)
 
 	for c, sw := range t.CoreAttach {
@@ -269,7 +273,7 @@ func (r *router) arcState(i, j int) arcState {
 	if i == j {
 		return arcState{forbidden: true}
 	}
-	if r.allowed != nil && !r.allowed[[2]int{i, j}] {
+	if r.allowed != nil && !r.allowed[i][j] {
 		return arcState{forbidden: true}
 	}
 	t := r.top
@@ -278,10 +282,7 @@ func (r *router) arcState(i, j int) arcState {
 	if span < 0 {
 		span = -span
 	}
-	var st arcState
-	if _, ok := r.linkBW[[2]int{i, j}]; ok {
-		st.exists = true
-	}
+	st := arcState{exists: r.exists[i][j]}
 
 	if span > 0 {
 		// Hard constraint: adjacency and max_ill.
@@ -366,17 +367,17 @@ func (r *router) arcCost(i, j int, bw float64, softInf float64) float64 {
 }
 
 // buildCostGraph builds the per-flow routing graph over switches from scratch.
-// forbidden holds arcs temporarily excluded by deadlock-avoidance retries.
+// forbidden lists arcs temporarily excluded by deadlock-avoidance retries.
 // The equivalence tests use it as the ground truth the cached cost model is
 // compared against; the Config.FullRebuild reference path itself rebuilds a
 // fresh costModel per attempt so that both configurations search with the
 // identical deterministic Dijkstra.
-func (r *router) buildCostGraph(bw float64, forbidden map[[2]int]bool) *graph.Graph {
+func (r *router) buildCostGraph(bw float64, forbidden [][2]int) *graph.Graph {
 	n := r.top.NumSwitches()
 	cg := graph.New(n)
 	for i := 0; i < n; i++ {
 		for j := 0; j < n; j++ {
-			if i == j || forbidden[[2]int{i, j}] {
+			if i == j || listed(forbidden, i, j) {
 				continue
 			}
 			c := r.arcCost(i, j, bw, r.softInf)
@@ -400,7 +401,9 @@ func (r *router) routeFlow(f int) bool {
 		return true
 	}
 
-	forbidden := make(map[[2]int]bool)
+	// Arcs excluded by deadlock retries: at most MaxDeadlockRetries entries,
+	// so a linear scan beats any set structure.
+	var forbidden [][2]int
 	for try := 0; try <= r.cfg.MaxDeadlockRetries; try++ {
 		var path []int
 		var cost float64
@@ -421,7 +424,7 @@ func (r *router) routeFlow(f int) bool {
 		}
 		if bad := r.deadlockArc(path); bad != nil {
 			// Penalise the arc that closed a cycle and retry.
-			forbidden[*bad] = true
+			forbidden = append(forbidden, *bad)
 			r.deadlock++
 			continue
 		}
@@ -467,12 +470,11 @@ func (r *router) deadlockArc(path []int) *[2]int {
 // ensureLinkVertex returns the CDG vertex of the directed link (i, j),
 // growing the CDG if the link is new.
 func (r *router) ensureLinkVertex(i, j int) int {
-	key := [2]int{i, j}
-	if v, ok := r.linkIdx[key]; ok {
-		return v
+	if v := r.linkIdx[i][j]; v >= 0 {
+		return int(v)
 	}
 	v := r.cdg.Grow(1)
-	r.linkIdx[key] = v
+	r.linkIdx[i][j] = int32(v)
 	return v
 }
 
@@ -480,17 +482,16 @@ func (r *router) ensureLinkVertex(i, j int) int {
 // bookkeeping, then refreshes the cost-graph arcs those updates invalidated.
 func (r *router) commit(f int, path []int) {
 	t := r.top
-	bw := t.Design.Flows[f].BandwidthMBps
 	var opened [][2]int
 	for i := 1; i < len(path); i++ {
-		key := [2]int{path[i-1], path[i]}
-		if _, exists := r.linkBW[key]; !exists {
-			r.outPorts[path[i-1]]++
-			r.inPorts[path[i]]++
-			r.addBoundaryCrossings(t.Switches[path[i-1]].Layer, t.Switches[path[i]].Layer, 1)
-			opened = append(opened, key)
+		a, b := path[i-1], path[i]
+		if !r.exists[a][b] {
+			r.exists[a][b] = true
+			r.outPorts[a]++
+			r.inPorts[b]++
+			r.addBoundaryCrossings(t.Switches[a].Layer, t.Switches[b].Layer, 1)
+			opened = append(opened, [2]int{a, b})
 		}
-		r.linkBW[key] += bw
 	}
 	t.SetRoute(f, path)
 	if r.cost != nil && len(opened) > 0 {
@@ -519,17 +520,10 @@ func (r *router) tryWithIndirectSwitch(f int) (routed, kept bool) {
 	// Place the new switch between the two endpoints, on an intermediate
 	// layer when the endpoints are on different layers.
 	ls, ld := t.Switches[src].Layer, t.Switches[dst].Layer
-	layer := (ls + ld) / 2
-	id := t.AddIndirectSwitch(layer)
-	t.Switches[id].Pos = geom.Point{
+	id := r.addSwitch((ls+ld)/2, geom.Point{
 		X: (t.Switches[src].Pos.X + t.Switches[dst].Pos.X) / 2,
 		Y: (t.Switches[src].Pos.Y + t.Switches[dst].Pos.Y) / 2,
-	}
-	r.inPorts = append(r.inPorts, 0)
-	r.outPorts = append(r.outPorts, 0)
-	if r.cost != nil {
-		r.cost.grow()
-	}
+	})
 	routed = r.routeFlow(f)
 	if routed {
 		for _, s := range t.Routes[f].Switches {
@@ -541,21 +535,103 @@ func (r *router) tryWithIndirectSwitch(f int) (routed, kept bool) {
 		// the insertion can be undone like a failed retry.
 	}
 	// Undoing the insertion restores the pre-attempt state: nothing involving
-	// the switch was committed. CDG vertices created for candidate links
-	// through the removed switch keep their (edge-free) slots, but their
-	// linkIdx entries must go so a future switch reusing this ID starts from
-	// a clean link identity.
-	t.Switches = t.Switches[:id]
+	// the switch was committed.
+	r.removeLastSwitch()
+	return routed, false
+}
+
+// addSwitch appends an indirect switch on the given layer at pos to the
+// topology and grows every per-switch table of the router with it.
+func (r *router) addSwitch(layer int, pos geom.Point) int {
+	id := r.top.AddIndirectSwitch(layer)
+	r.top.Switches[id].Pos = pos
+	r.inPorts = append(r.inPorts, 0)
+	r.outPorts = append(r.outPorts, 0)
+	r.exists = growSquare(r.exists, false)
+	r.linkIdx = growSquare(r.linkIdx, -1)
+	if r.allowed != nil {
+		r.allowed = growSquare(r.allowed, false)
+	}
+	if r.cost != nil {
+		r.cost.grow()
+	}
+	return id
+}
+
+// removeLastSwitch undoes addSwitch for a switch no committed route uses.
+// CDG vertices created for candidate links through the removed switch keep
+// their (edge-free) slots, but shrinking linkIdx drops their entries, so a
+// future switch reusing this ID starts from a clean link identity
+// (growSquare re-fills its row and column).
+func (r *router) removeLastSwitch() {
+	id := r.top.NumSwitches() - 1
+	r.top.Switches = r.top.Switches[:id]
 	r.inPorts = r.inPorts[:id]
 	r.outPorts = r.outPorts[:id]
-	//determlint:ordered deletes of distinct keys commute and the loop reads nothing but the key; the surviving map content is order-independent
-	for key := range r.linkIdx {
-		if key[0] == id || key[1] == id {
-			delete(r.linkIdx, key)
-		}
+	r.exists = shrinkSquare(r.exists)
+	r.linkIdx = shrinkSquare(r.linkIdx)
+	if r.allowed != nil {
+		r.allowed = shrinkSquare(r.allowed)
 	}
 	if r.cost != nil {
 		r.cost.shrink()
 	}
-	return routed, false
+}
+
+// listed reports whether the arc (i, j) is in the short arc list.
+func listed(arcs [][2]int, i, j int) bool {
+	for _, a := range arcs {
+		if a[0] == i && a[1] == j {
+			return true
+		}
+	}
+	return false
+}
+
+// leavesListed reports whether some arc of the short arc list leaves i.
+func leavesListed(arcs [][2]int, i int) bool {
+	for _, a := range arcs {
+		if a[0] == i {
+			return true
+		}
+	}
+	return false
+}
+
+// newSquare returns an n×n table with every cell set to fill. The router's
+// per-link tables are indexed by switch ID and resized with the switch count.
+func newSquare[T any](n int, fill T) [][]T {
+	m := make([][]T, n)
+	for i := range m {
+		m[i] = make([]T, n)
+		for j := range m[i] {
+			m[i][j] = fill
+		}
+	}
+	return m
+}
+
+// growSquare extends an n×n table to (n+1)×(n+1), filling the new row and
+// column. Cells left over in spare capacity by an earlier shrinkSquare are
+// overwritten, never read.
+func growSquare[T any](m [][]T, fill T) [][]T {
+	n := len(m)
+	for i := range m {
+		m[i] = append(m[i], fill)
+	}
+	row := make([]T, n+1)
+	for j := range row {
+		row[j] = fill
+	}
+	return append(m, row)
+}
+
+// shrinkSquare drops the last row and column of a square table.
+func shrinkSquare[T any](m [][]T) [][]T {
+	n := len(m) - 1
+	m = m[:n]
+	for i := range m {
+		m[i] = m[i][:n]
+	}
+	return m
 }
