@@ -9,6 +9,8 @@ import (
 	"context"
 	"encoding/json"
 	"errors"
+	"math"
+	"strings"
 	"sync"
 	"testing"
 
@@ -56,6 +58,27 @@ func TestEngineOptionValidation(t *testing.T) {
 	}
 	if _, err := sunfloor3d.NewEngine(sunfloor3d.WithMaxILL(-1)); err == nil {
 		t.Error("negative max-ILL should fail")
+	}
+	// Non-finite values would serialise as invalid JSON (frequencies) or
+	// silently make every point incomparable (weights); each is rejected
+	// by field name.
+	inf := math.Inf(1)
+	for _, c := range []struct {
+		opt   sunfloor3d.Option
+		field string
+	}{
+		{sunfloor3d.WithFrequenciesMHz(math.NaN()), "FrequenciesMHz"},
+		{sunfloor3d.WithFrequenciesMHz(inf), "FrequenciesMHz"},
+		{sunfloor3d.WithFrequenciesMHz(400, -inf), "FrequenciesMHz"},
+		{sunfloor3d.WithObjective(math.NaN(), 1), "PowerWeight"},
+		{sunfloor3d.WithObjective(inf, 1), "PowerWeight"},
+		{sunfloor3d.WithObjective(1, math.NaN()), "LatencyWeight"},
+		{sunfloor3d.WithObjective(1, inf), "LatencyWeight"},
+		{sunfloor3d.WithObjective(1, -inf), "LatencyWeight"},
+	} {
+		if _, err := sunfloor3d.NewEngine(c.opt); err == nil || !strings.Contains(err.Error(), c.field) {
+			t.Errorf("non-finite %s: got error %v, want one naming the field", c.field, err)
+		}
 	}
 	if _, err := sunfloor3d.ParsePhase("bogus"); err == nil {
 		t.Error("unknown phase name should fail")
@@ -111,9 +134,9 @@ func TestSerialParallelIdentical(t *testing.T) {
 }
 
 // TestPartitionCacheByteIdentical checks the acceptance contract of the
-// sweep-wide partition cache: runs with the cache enabled and disabled — at
-// any parallelism — serialise to byte-identical JSON, and the enabled run
-// actually reuses partitions across the swept frequencies.
+// sweep-wide partition cache: a multi-frequency sweep actually reuses
+// partitions across the swept frequencies, and serial and parallel runs
+// serialise to byte-identical JSON.
 func TestPartitionCacheByteIdentical(t *testing.T) {
 	d := apiDesign(t)
 	ctx := context.Background()
@@ -129,28 +152,22 @@ func TestPartitionCacheByteIdentical(t *testing.T) {
 		}
 		return res
 	}
-	on := run(sunfloor3d.WithPartitionCache(true))
-	off := run(sunfloor3d.WithPartitionCache(false))
-	onPar := run(sunfloor3d.WithPartitionCache(true), sunfloor3d.WithParallelism(8))
+	serial := run()
+	parallel := run(sunfloor3d.WithParallelism(8))
 
-	if on.Cache.Hits == 0 {
-		t.Error("cache-enabled multi-frequency sweep reported no hits")
+	if serial.Cache.Hits == 0 {
+		t.Error("multi-frequency sweep reported no cache hits")
 	}
-	if off.Cache.Hits != 0 {
-		t.Errorf("cache-disabled run reported %d hits", off.Cache.Hits)
-	}
-	onJSON, err := json.Marshal(on)
+	serialJSON, err := json.Marshal(serial)
 	if err != nil {
 		t.Fatal(err)
 	}
-	for name, res := range map[string]*sunfloor3d.Result{"cache off": off, "cache on parallel": onPar} {
-		j, err := json.Marshal(res)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !bytes.Equal(onJSON, j) {
-			t.Fatalf("%s result differs from cache-on serial:\non:    %s\nother: %s", name, onJSON, j)
-		}
+	parallelJSON, err := json.Marshal(parallel)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(serialJSON, parallelJSON) {
+		t.Fatalf("parallel result differs from serial:\nserial:   %s\nparallel: %s", serialJSON, parallelJSON)
 	}
 }
 

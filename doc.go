@@ -31,18 +31,16 @@
 // the PG/SPG/LPG graphs and their min-cut partitions depend only on the
 // communication graph and the partitioning parameters, so each is computed
 // once and shared read-only across all swept frequencies and workers
-// (WithPartitionCache toggles this; results are bit-identical either way,
-// and Result.Cache reports the hit/miss counts). Inside the router, the
+// (Result.Cache reports the hit/miss counts). Inside the router, the
 // per-flow arc-cost graph of Algorithm 3 is maintained incrementally: each
 // arc cost splits into a geometry-only bandwidth slope plus a state term
 // that a committed path invalidates only for the arcs whose port counts,
 // inter-layer-link occupancy or link existence it changed, and deadlock
 // retries overlay forbidden arcs on the shortest-path search instead of
 // rebuilding anything. Every DesignPoint records its router statistics
-// (Route) and wall-clock build time (Elapsed). BenchmarkSweepHotPath
-// ("go test -bench=Sweep -benchtime=1x") compares this hot path against the
-// original recompute-everything configuration and records the speedups to
-// BENCH_PR2.json.
+// (Route) and wall-clock build time (Elapsed). The repository benchmark,
+// perfbench/ ("bash perfbench/run.sh --workload sweep"), times this path
+// end to end and stage by stage.
 //
 // # Flit-level simulation
 //
@@ -90,10 +88,8 @@
 // skips the per-link/per-switch tables a sweep discards. The
 // pre-optimization engine is retained behind SimConfig.Reference; the two
 // cores are verified byte-identical by equivalence tests over the golden
-// corpus and deadlock fixtures and by the FuzzSimDeterminism harness, and
-// BenchmarkSimSweep ("go test -bench=SimSweep -benchtime=1x") records the
-// before/after timings to BENCH_PR4.json. DesignPoint.SimElapsed reports
-// each point's simulation wall time.
+// corpus and deadlock fixtures and by the FuzzSimDeterminism harness.
+// DesignPoint.SimElapsed reports each point's simulation wall time.
 //
 // # The fidelity ladder
 //
@@ -130,10 +126,9 @@
 // alias. With WithSpace the band is cut per exploration cell, which keeps
 // checkpointed and sharded cells final and exactly mergeable, and the
 // estimated latency doubles as the branch-and-bound witness coordinate so
-// pruning stays exact for the triage band. BenchmarkFidelityLadder
-// ("go test -bench=FidelityLadder -benchtime=1x") gates the triaged sweep
-// on byte-identical fronts and best points against a full-simulation
-// baseline and records speedup, precision and recall to BENCH_PR10.json.
+// pruning stays exact for the triage band. A test gates the triaged sweep
+// on paper designs: its Pareto front and best point must equal those of a
+// sweep that simulates every valid point.
 //
 // # Generating and loading custom workloads
 //
@@ -189,10 +184,9 @@
 // merged file restores the union. Shard results are partial and are never
 // stored in the content-addressed cache. The CLI exposes the same surface
 // as -axis name=v1,v2,... (repeatable), -no-prune, -checkpoint and
-// -shard i/n; the server accepts the space as options.space.
-// BenchmarkExplorer ("go test -bench=Explorer -benchtime=1x") verifies
-// front/best byte-identity between pruned and brute-force runs and records
-// the speedups to BENCH_PR8.json.
+// -shard i/n; the server accepts the space as options.space. Tests verify
+// front/best byte-identity between pruned and brute-force runs, on a paper
+// design and on generated workloads.
 //
 // # Synthesis as a service
 //
@@ -229,8 +223,8 @@
 // weight-2 run gets twice the slots of a weight-1 run under contention and
 // nobody starves). Scheduling never changes results — design points land at
 // pre-assigned indices. BenchmarkServerThroughput
-// ("go test -bench=ServerThroughput -benchtime=1x") records cold-vs-warm
-// request latency and concurrent warm throughput to BENCH_PR6.json.
+// ("go test -bench=ServerThroughput -benchtime=1x") asserts cold/warm body
+// identity and a warm-cache latency at least 100x below cold.
 //
 // # Fault-aware synthesis and sparing
 //

@@ -43,12 +43,33 @@ func points(t *testing.T, pts []sunfloor3d.DesignPoint) []byte {
 // TestExplorerExactAgainstBruteForce is the core acceptance check: the
 // pruned explorer's Pareto front and best point are byte-identical to the
 // brute-force (NoPrune) enumeration of the same 3-axis space, while at
-// least one point was actually pruned.
+// least one point was actually pruned. It runs on a small hand-built design
+// and on a design of the paper's benchmark suite.
 func TestExplorerExactAgainstBruteForce(t *testing.T) {
-	d := apiDesign(t)
-	ctx := context.Background()
-	sp := exploreSpace3()
+	media, err := sunfloor3d.BenchmarkByName("D_26_media", 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cases := []struct {
+		name   string
+		design *sunfloor3d.Design
+		space  sunfloor3d.Space
+	}{
+		{"api", apiDesign(t), exploreSpace3()},
+		{"D_26_media", media.Graph3D, sunfloor3d.Space{Axes: []sunfloor3d.Axis{
+			{Name: sunfloor3d.AxisFreqMHz, Values: []float64{400, 600, 800}},
+			{Name: sunfloor3d.AxisLinkWidthBits, Values: []float64{32, 64}},
+			{Name: sunfloor3d.AxisSwitchCount, Values: []float64{1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12}},
+		}}},
+	}
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) { checkExplorerExact(t, c.design, c.space) })
+	}
+}
 
+func checkExplorerExact(t *testing.T, d *sunfloor3d.Design, sp sunfloor3d.Space) {
+	t.Helper()
+	ctx := context.Background()
 	pruned, err := sunfloor3d.Synthesize(ctx, d,
 		sunfloor3d.WithSpace(sp), sunfloor3d.WithParallelism(4))
 	if err != nil {

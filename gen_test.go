@@ -82,6 +82,18 @@ func TestParseGenSpec(t *testing.T) {
 			t.Errorf("ParseGenSpec(%q) should fail", bad)
 		}
 	}
+	// Non-finite or overflowing floats are rejected by field name before
+	// any design is generated, let alone synthesized.
+	for gen, field := range map[string]string{
+		"shape=hotspot,cores=8,bandwidth=1e308": "MeanBandwidthMBps",
+		"shape=hotspot,cores=8,bandwidth=inf":   "MeanBandwidthMBps",
+		"shape=hotspot,cores=8,slack=inf":       "LatencySlack",
+		"shape=hotspot,cores=8,memfrac=nan":     "MemoryFraction",
+	} {
+		if _, err := sunfloor3d.ParseGenSpec(gen); err == nil || !strings.Contains(err.Error(), field) {
+			t.Errorf("ParseGenSpec(%q) = %v, want an error naming %s", gen, err, field)
+		}
+	}
 }
 
 func TestLoadBenchmark(t *testing.T) {

@@ -76,6 +76,14 @@ func (c Core) Center3D() geom.Point3D {
 	return geom.Point3D{X: p.X, Y: p.Y, Layer: c.Layer}
 }
 
+// MaxFlowBandwidthMBps is the largest flow bandwidth a CommGraph accepts:
+// 1 PB/s, over four orders of magnitude above the widest link the component
+// library models (512 bits at the 1 GHz switch-frequency cap is 64 GB/s).
+// Such a flow can never be routed; the ceiling exists so that every sum of
+// flow bandwidths, and the power and load figures built on it, stays finite
+// and a Result always serialises.
+const MaxFlowBandwidthMBps = 1e9
+
 // Flow is a directed communication flow between two cores (one edge of the
 // communication graph of Definition 2).
 type Flow struct {
@@ -101,7 +109,8 @@ type CommGraph struct {
 
 // NewCommGraph builds a communication graph from cores and flows and validates
 // it. It returns an error if a core name is duplicated, a flow references an
-// unknown core index, or a flow has a non-positive bandwidth.
+// unknown core index, or a flow has a non-finite, non-positive or above
+// MaxFlowBandwidthMBps bandwidth.
 func NewCommGraph(cores []Core, flows []Flow) (*CommGraph, error) {
 	g := &CommGraph{
 		Cores:   append([]Core(nil), cores...),
@@ -135,15 +144,31 @@ func NewCommGraph(cores []Core, flows []Flow) (*CommGraph, error) {
 		if f.Src == f.Dst {
 			return nil, fmt.Errorf("flow %d is a self loop on core %q", i, g.Cores[f.Src].Name)
 		}
-		if !finite(f.BandwidthMBps) || f.BandwidthMBps <= 0 {
-			return nil, fmt.Errorf("flow %d (%q -> %q) has non-positive bandwidth %g",
-				i, g.Cores[f.Src].Name, g.Cores[f.Dst].Name, f.BandwidthMBps)
+		if bad := checkBandwidth(f.BandwidthMBps); bad != "" {
+			return nil, fmt.Errorf("flow %d (%q -> %q) has %s", i, g.Cores[f.Src].Name, g.Cores[f.Dst].Name, bad)
 		}
-		if !finite(f.LatencyCycles) || f.LatencyCycles < 0 {
+		if !finite(f.LatencyCycles) {
+			return nil, fmt.Errorf("flow %d has non-finite latency constraint %g", i, f.LatencyCycles)
+		}
+		if f.LatencyCycles < 0 {
 			return nil, fmt.Errorf("flow %d has negative latency constraint", i)
 		}
 	}
 	return g, nil
+}
+
+// checkBandwidth describes what is wrong with a flow bandwidth, or returns
+// "" for a valid one.
+func checkBandwidth(bw float64) string {
+	switch {
+	case !finite(bw):
+		return fmt.Sprintf("non-finite bandwidth %g", bw)
+	case bw <= 0:
+		return fmt.Sprintf("non-positive bandwidth %g", bw)
+	case bw > MaxFlowBandwidthMBps:
+		return fmt.Sprintf("bandwidth %g above the %g MB/s ceiling", bw, MaxFlowBandwidthMBps)
+	}
+	return ""
 }
 
 // CoreIndex returns the index of the named core, or -1 if it does not exist.

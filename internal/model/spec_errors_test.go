@@ -54,7 +54,19 @@ func TestSpecErrorMessages(t *testing.T) {
 			name:    "NaN bandwidth",
 			cores:   goodCores,
 			comm:    "flow a b NaN 0 request\n",
-			wantErr: "non-positive bandwidth NaN",
+			wantErr: `flow 0 ("a" -> "b") has non-finite bandwidth NaN`,
+		},
+		{
+			name:    "infinite bandwidth",
+			cores:   goodCores,
+			comm:    "flow a b Inf 0 request\n",
+			wantErr: `flow 0 ("a" -> "b") has non-finite bandwidth +Inf`,
+		},
+		{
+			name:    "bandwidth above the ceiling",
+			cores:   goodCores,
+			comm:    "flow a b 1e308 0 request\n",
+			wantErr: `flow 0 ("a" -> "b") has bandwidth 1e+308 above the 1e+09 MB/s ceiling`,
 		},
 		{
 			name:    "bad layer index",
@@ -79,6 +91,12 @@ func TestSpecErrorMessages(t *testing.T) {
 			cores:   goodCores,
 			comm:    "flow a b 100 -3 request\n",
 			wantErr: "flow 0 has negative latency constraint",
+		},
+		{
+			name:    "infinite latency",
+			cores:   goodCores,
+			comm:    "flow a b 100 Inf request\n",
+			wantErr: "flow 0 has non-finite latency constraint +Inf",
 		},
 		{
 			name:    "self loop",

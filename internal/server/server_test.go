@@ -346,6 +346,10 @@ func TestServerValidation(t *testing.T) {
 		{"unknown sparing process", fmt.Sprintf(`{"gen":%q,"options":{"sparing":{"process":"nope","target_yield":0.99}}}`, fastGen)},
 		{"bad sparing target", fmt.Sprintf(`{"gen":%q,"options":{"sparing":{"process":"wafer-level-A","target_yield":2}}}`, fastGen)},
 		{"bad fault model", fmt.Sprintf(`{"gen":%q,"options":{"fault":{"plans":0,"exhaustive_max":0}}}`, fastGen)},
+		// A finite but overflowing bandwidth would synthesize to a Result
+		// that cannot be serialised; it is refused at admission instead.
+		{"overflowing gen bandwidth", `{"gen":"shape=hotspot,cores=8,bandwidth=1e308"}`},
+		{"overflowing spec bandwidth", `{"cores_spec":"core a 1 1 0 0 0\ncore b 1 1 2 0 1\n","comm_spec":"flow a b 1e308 0 request\n"}`},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {

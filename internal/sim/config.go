@@ -150,8 +150,8 @@ type Config struct {
 	// the production engine: pointer-based packets allocated per injection,
 	// slice-backed queues, map-based routing lookups and a dense cycle loop
 	// that scans every NI, switch and port every cycle. Both engines produce
-	// byte-identical Stats; the switch exists for the equivalence tests and
-	// the before/after benchmarks (BENCH_PR4.json) only.
+	// byte-identical Stats; the switch exists only as the oracle of the
+	// equivalence tests.
 	Reference bool
 }
 

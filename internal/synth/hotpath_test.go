@@ -5,9 +5,13 @@ import (
 	"math/rand"
 	"reflect"
 	"sort"
+	"sync"
 	"testing"
 
+	"sunfloor3d/internal/bench"
 	"sunfloor3d/internal/geom"
+	"sunfloor3d/internal/graph"
+	"sunfloor3d/internal/partition"
 	"sunfloor3d/internal/topology"
 )
 
@@ -19,60 +23,141 @@ func stripTimings(res *Result) {
 	}
 }
 
-// TestPartitionCacheEquivalence checks the core contract of the sweep-wide
-// partition cache: cached, uncached, serial and parallel runs all return
-// identical design points (the partitioner is deterministic, so sharing a
-// computed partition across frequencies must not change anything).
+// TestPartitionCacheEquivalence checks the sweep-level contract of the
+// sweep-wide partition cache: a multi-frequency sweep reuses partitions
+// across frequencies, and serial and parallel runs return identical design
+// points. TestPartitionCacheMatchesDirectCalls pins every cached entry to a
+// fresh computation.
 func TestPartitionCacheEquivalence(t *testing.T) {
 	g := smallDesign(t)
-	base := DefaultOptions()
-	base.FrequenciesMHz = []float64{400, 600, 800}
-
-	cached := base
-	cachedRes, err := Synthesize(g, cached)
+	serial := DefaultOptions()
+	serial.FrequenciesMHz = []float64{400, 600, 800}
+	serialRes, err := Synthesize(g, serial)
 	if err != nil {
 		t.Fatal(err)
 	}
-	uncached := base
-	uncached.DisablePartitionCache = true
-	uncachedRes, err := Synthesize(g, uncached)
-	if err != nil {
-		t.Fatal(err)
-	}
-	parallel := base
+	parallel := serial
 	parallel.Parallelism = 8
 	parallelRes, err := Synthesize(g, parallel)
 	if err != nil {
 		t.Fatal(err)
 	}
 
-	if cachedRes.Cache.Hits == 0 {
+	if serialRes.Cache.Hits == 0 {
 		t.Error("multi-frequency sweep produced no cache hits")
 	}
-	if uncachedRes.Cache.Hits != 0 {
-		t.Errorf("disabled cache reported %d hits", uncachedRes.Cache.Hits)
+	stripTimings(serialRes)
+	stripTimings(parallelRes)
+	if len(parallelRes.Points) != len(serialRes.Points) {
+		t.Fatalf("parallel run explored %d points, serial %d", len(parallelRes.Points), len(serialRes.Points))
+	}
+	for i := range serialRes.Points {
+		a, b := serialRes.Points[i], parallelRes.Points[i]
+		if !reflect.DeepEqual(a, b) {
+			t.Fatalf("parallel run diverges at point %d:\nserial:   %+v\nparallel: %+v", i, a, b)
+		}
+	}
+	bestA, bestB := serialRes.Best, parallelRes.Best
+	if (bestA == nil) != (bestB == nil) {
+		t.Fatal("parallel run best-point presence differs")
+	}
+	if bestA != nil && !reflect.DeepEqual(bestA.Metrics, bestB.Metrics) {
+		t.Fatal("parallel run best metrics differ")
+	}
+}
+
+// TestPartitionCacheMatchesDirectCalls checks that every lookup of the
+// partition cache returns exactly what a fresh call of the partitioner
+// returns — the PG and each theta-scaled SPG, every k-way core partition of
+// them, the per-layer LPGs and every np-way LPG partition — while the
+// lookups race from several goroutines, and that each entry is computed once.
+func TestPartitionCacheMatchesDirectCalls(t *testing.T) {
+	g := bench.D26Media(1).Graph3D
+	par := partition.DefaultParams()
+	thetas := append([]float64{0}, par.ThetaSweep()...)
+	n := g.NumCores()
+
+	// Every goroutine issues every lookup and records what it got.
+	const workers = 4
+	c := newPartitionCache(g, par)
+	gotPGs := make([][]*graph.Graph, workers)
+	gotAssigns := make([][][]int, workers)
+	gotLPGs := make([][]partition.LPG, workers)
+	gotLPGAssigns := make([][]map[int]int, workers)
+	var wg sync.WaitGroup
+	for w := 0; w < workers; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			for _, theta := range thetas {
+				pg := c.pg(theta)
+				gotPGs[w] = append(gotPGs[w], pg)
+				for k := 1; k <= n; k++ {
+					gotAssigns[w] = append(gotAssigns[w], c.coreAssignment(pg, theta, k))
+				}
+			}
+			gotLPGs[w] = c.layerGraphs()
+			for j, l := range gotLPGs[w] {
+				for np := 1; np <= len(l.Vertices); np++ {
+					gotLPGAssigns[w] = append(gotLPGAssigns[w], c.lpgAssignment(j, l, np))
+				}
+			}
+		}(w)
+	}
+	wg.Wait()
+
+	// The same lookups, computed directly.
+	var pgs []*graph.Graph
+	var assigns [][]int
+	var lpgAssigns []map[int]int
+	base := partition.BuildPG(g, par.Alpha)
+	for _, theta := range thetas {
+		pg := base
+		if theta != 0 {
+			pg = partition.BuildSPGFrom(base, g, theta, par.ThetaMax)
+		}
+		pgs = append(pgs, pg)
+		for k := 1; k <= n; k++ {
+			assigns = append(assigns, partition.PartitionCores(pg, k))
+		}
+	}
+	lpgs := partition.BuildLPGs(g, par)
+	for _, l := range lpgs {
+		for np := 1; np <= len(l.Vertices); np++ {
+			lpgAssigns = append(lpgAssigns, partition.PartitionLPG(l, np))
+		}
+	}
+	if len(lpgs) < 2 {
+		t.Fatalf("design has %d layer graphs, want a multi-layer design", len(lpgs))
 	}
 
-	stripTimings(cachedRes)
-	stripTimings(uncachedRes)
-	stripTimings(parallelRes)
-	for name, other := range map[string]*Result{"uncached": uncachedRes, "parallel": parallelRes} {
-		if len(other.Points) != len(cachedRes.Points) {
-			t.Fatalf("%s run explored %d points, cached %d", name, len(other.Points), len(cachedRes.Points))
-		}
-		for i := range cachedRes.Points {
-			a, b := cachedRes.Points[i], other.Points[i]
-			if !reflect.DeepEqual(a, b) {
-				t.Fatalf("%s run diverges at point %d:\ncached: %+v\nother:  %+v", name, i, a, b)
+	for w := 0; w < workers; w++ {
+		for i, theta := range thetas {
+			if !reflect.DeepEqual(gotPGs[w][i], pgs[i]) {
+				t.Fatalf("goroutine %d: pg(%g) differs from a fresh build", w, theta)
 			}
 		}
-		bestA, bestB := cachedRes.Best, other.Best
-		if (bestA == nil) != (bestB == nil) {
-			t.Fatalf("%s run best-point presence differs", name)
+		for i := range assigns {
+			if !reflect.DeepEqual(gotAssigns[w][i], assigns[i]) {
+				t.Fatalf("goroutine %d: coreAssignment(theta %g, k %d) differs from a fresh partition",
+					w, thetas[i/n], i%n+1)
+			}
 		}
-		if bestA != nil && !reflect.DeepEqual(bestA.Metrics, bestB.Metrics) {
-			t.Fatalf("%s run best metrics differ", name)
+		if !reflect.DeepEqual(gotLPGs[w], lpgs) {
+			t.Fatalf("goroutine %d: layerGraphs differs from a fresh BuildLPGs", w)
 		}
+		for i := range lpgAssigns {
+			if !reflect.DeepEqual(gotLPGAssigns[w][i], lpgAssigns[i]) {
+				t.Fatalf("goroutine %d: LPG assignment %d differs from a fresh partition", w, i)
+			}
+		}
+	}
+
+	// Each distinct entry is computed exactly once; every other lookup hits.
+	entries := len(pgs) + len(assigns) + 1 + len(lpgAssigns)
+	lookups := workers * entries
+	if st := c.stats(); st.Misses != entries || st.Hits+st.Misses != lookups {
+		t.Errorf("cache stats %+v, want %d misses out of %d lookups", st, entries, lookups)
 	}
 }
 

@@ -124,11 +124,6 @@ type Options struct {
 	// Progress, when non-nil, receives an Event after every evaluated design
 	// point. Callbacks are serialised; a slow callback stalls the sweep.
 	Progress func(Event)
-	// DisablePartitionCache turns off the sweep-wide partition cache, so
-	// every frequency recomputes its PG/SPG/LPG partitions from scratch. The
-	// partitioner is deterministic, so cached and uncached runs return
-	// byte-identical results; the switch exists for benchmarking and debug.
-	DisablePartitionCache bool
 	// FullRebuildRouter makes the path-computation step rebuild its full
 	// O(S^2) arc-cost graph for every flow and deadlock retry instead of
 	// maintaining it incrementally. Reference implementation for equivalence
@@ -234,8 +229,8 @@ func (o Options) Validate() error {
 		return fmt.Errorf("synth: no frequencies to sweep")
 	}
 	for _, f := range o.FrequenciesMHz {
-		if f <= 0 {
-			return fmt.Errorf("synth: non-positive frequency %g", f)
+		if !(f > 0) || math.IsInf(f, 0) {
+			return fmt.Errorf("synth: FrequenciesMHz must be finite and positive, got %g", f)
 		}
 	}
 	if o.MaxILL < 0 {
@@ -244,8 +239,11 @@ func (o Options) Validate() error {
 	if err := o.Partition.Validate(); err != nil {
 		return err
 	}
-	if o.PowerWeight < 0 || o.LatencyWeight < 0 {
-		return fmt.Errorf("synth: negative objective weight")
+	if !(o.PowerWeight >= 0) || math.IsInf(o.PowerWeight, 0) {
+		return fmt.Errorf("synth: PowerWeight must be finite and non-negative, got %g", o.PowerWeight)
+	}
+	if !(o.LatencyWeight >= 0) || math.IsInf(o.LatencyWeight, 0) {
+		return fmt.Errorf("synth: LatencyWeight must be finite and non-negative, got %g", o.LatencyWeight)
 	}
 	if o.PowerWeight == 0 && o.LatencyWeight == 0 {
 		return fmt.Errorf("synth: objective weights are both zero")

@@ -245,12 +245,6 @@ func (s *Space) cells(opt Options) []cellSpec {
 	return out
 }
 
-// NumCells returns the number of (frequency, layer count, TSV budget, vcs,
-// link width) cells the space enumerates with the given options. Cell indices — the unit of
-// checkpointing and sharding — run from 0 to NumCells-1 in deterministic
-// order.
-func (s *Space) NumCells(opt Options) int { return len(s.cells(opt)) }
-
 // ExplorationHooks let a caller own, restore and persist exploration cells,
 // which is how the facade implements checkpoint/resume and sharding. All
 // hooks receive the cell index of the deterministic enumeration. A nil hook

@@ -185,7 +185,7 @@ func SynthesizeContext(ctx context.Context, g *model.CommGraph, opt Options) (*R
 	// run drains all in-flight evaluations before SynthesizeContext returns
 	// and never leaks a goroutine or an evaluation slot.
 	defer p.close()
-	cache := newPartitionCache(g, opt.Partition, !opt.DisablePartitionCache)
+	cache := newPartitionCache(g, opt.Partition)
 	if opt.Space != nil {
 		return exploreSpace(ctx, g, opt, cache, p)
 	}

@@ -27,6 +27,7 @@ package workload
 
 import (
 	"fmt"
+	"math"
 	"math/rand"
 	"strings"
 
@@ -135,6 +136,14 @@ type Spec struct {
 	UnconstrainedFraction float64
 }
 
+// maxMeanBandwidthMBps bounds Spec.MeanBandwidthMBps so that every drawn
+// flow stays within model.MaxFlowBandwidthMBps: no draw exceeds 3.8x the
+// mean (a per-application scale of at most 2 times a spread factor of at
+// most 1.9).
+const maxMeanBandwidthMBps = model.MaxFlowBandwidthMBps / 4
+
+func finite(v float64) bool { return !math.IsNaN(v) && !math.IsInf(v, 0) }
+
 // withDefaults returns the spec with every zero optional field resolved.
 func (s Spec) withDefaults() Spec {
 	if s.Cores == 0 {
@@ -184,10 +193,18 @@ func (s Spec) withDefaults() Spec {
 // plus a shape always validates).
 func (s Spec) Validate() error {
 	r := s.withDefaults()
+	// The range checks are false for NaN but true for some infinities, and
+	// defaulting folds -Inf into a valid fraction, so the raw floats are
+	// checked for finiteness first.
 	checks := []struct {
 		ok  bool
 		msg string
 	}{
+		{finite(s.MemoryFraction), fmt.Sprintf("MemoryFraction must be finite, got %g", s.MemoryFraction)},
+		{finite(s.MeanBandwidthMBps), fmt.Sprintf("MeanBandwidthMBps must be finite, got %g", s.MeanBandwidthMBps)},
+		{finite(s.BandwidthSpread), fmt.Sprintf("BandwidthSpread must be finite, got %g", s.BandwidthSpread)},
+		{finite(s.LatencySlack), fmt.Sprintf("LatencySlack must be finite, got %g", s.LatencySlack)},
+		{finite(s.UnconstrainedFraction), fmt.Sprintf("UnconstrainedFraction must be finite, got %g", s.UnconstrainedFraction)},
 		{r.Shape >= Pipeline && r.Shape <= Layered, fmt.Sprintf("unknown shape %d", int(r.Shape))},
 		{r.Cores >= 4, fmt.Sprintf("Cores must be at least 4, got %d", r.Cores)},
 		{r.Cores <= 256, fmt.Sprintf("Cores must be at most 256, got %d", r.Cores)},
@@ -198,6 +215,7 @@ func (s Spec) Validate() error {
 		{r.Apps >= 1 && r.Apps <= r.Cores/2, fmt.Sprintf("Apps must be in [1, Cores/2], got %d", r.Apps)},
 		{r.Hubs >= 1 && r.Hubs <= r.Cores/2, fmt.Sprintf("Hubs must be in [1, Cores/2], got %d", r.Hubs)},
 		{r.MeanBandwidthMBps > 0, fmt.Sprintf("MeanBandwidthMBps must be positive, got %g", r.MeanBandwidthMBps)},
+		{r.MeanBandwidthMBps <= maxMeanBandwidthMBps, fmt.Sprintf("MeanBandwidthMBps must be at most %g, got %g", maxMeanBandwidthMBps, r.MeanBandwidthMBps)},
 		{r.BandwidthSpread > 0 && r.BandwidthSpread <= 0.9, fmt.Sprintf("BandwidthSpread must be in (0, 0.9], got %g", r.BandwidthSpread)},
 		{r.LatencySlack >= 1, fmt.Sprintf("LatencySlack must be at least 1, got %g", r.LatencySlack)},
 		{r.UnconstrainedFraction <= 1, fmt.Sprintf("UnconstrainedFraction must be at most 1, got %g", r.UnconstrainedFraction)},

@@ -2,6 +2,7 @@ package workload
 
 import (
 	"bytes"
+	"math"
 	"strings"
 	"testing"
 
@@ -203,6 +204,36 @@ func TestSpecValidation(t *testing.T) {
 	}
 	if err := (Spec{}).Validate(); err != nil {
 		t.Errorf("zero spec (all defaults) should validate: %v", err)
+	}
+}
+
+// TestSpecRejectsNonFiniteAndHugeFloats checks that Validate names the field
+// of a non-finite or overflowing float, and that the largest accepted mean
+// bandwidth still generates on every shape: a spec that validates must
+// never fail model.NewCommGraph or overflow a bandwidth sum downstream.
+func TestSpecRejectsNonFiniteAndHugeFloats(t *testing.T) {
+	inf, nan := math.Inf(1), math.NaN()
+	cases := []struct {
+		spec  Spec
+		field string
+	}{
+		{Spec{MemoryFraction: nan}, "MemoryFraction"},
+		{Spec{MeanBandwidthMBps: inf}, "MeanBandwidthMBps"},
+		{Spec{MeanBandwidthMBps: 1e308}, "MeanBandwidthMBps"},
+		{Spec{BandwidthSpread: nan}, "BandwidthSpread"},
+		{Spec{LatencySlack: inf}, "LatencySlack"},
+		{Spec{UnconstrainedFraction: -inf}, "UnconstrainedFraction"},
+	}
+	for _, c := range cases {
+		if err := c.spec.Validate(); err == nil || !strings.Contains(err.Error(), c.field) {
+			t.Errorf("Validate(%+v) = %v, want an error naming %s", c.spec, err, c.field)
+		}
+	}
+	for _, sh := range Shapes() {
+		spec := Spec{Shape: sh, Seed: 3, MeanBandwidthMBps: maxMeanBandwidthMBps, BandwidthSpread: 0.9}
+		if _, err := Generate(spec); err != nil {
+			t.Errorf("%v at the mean-bandwidth ceiling: %v", sh, err)
+		}
 	}
 }
 

@@ -1,22 +1,18 @@
 package sunfloor3d_test
 
-// BenchmarkServerThroughput is the performance record of the PR 6 service
-// subsystem: it measures, for the golden-corpus workload specs, the cold
-// (synthesizing) and warm (content-addressed cache hit) latency of a
-// sunfloor-server request, verifies the two answers are byte-identical, and
-// then drives concurrent clients against the warm server to measure request
-// throughput and cache hit rate. The numbers land in BENCH_PR6.json; the CI
-// smoke step runs it with -benchtime=1x. The acceptance bar of the PR —
-// warm-cache latency at least 100x below cold — is asserted, not just
-// recorded.
+// BenchmarkServerThroughput measures, for the golden-corpus workload specs,
+// the cold (synthesizing) and warm (content-addressed cache hit) latency of
+// a sunfloor-server request, verifies the two answers are byte-identical,
+// and then drives concurrent clients against the warm server to measure
+// request throughput and cache hit rate. The CI smoke step runs it with
+// -benchtime=1x. The service's acceptance bar — warm-cache latency at least
+// 100x below cold — is asserted, not just reported.
 
 import (
 	"bytes"
-	"encoding/json"
 	"io"
 	"net/http"
 	"net/http/httptest"
-	"os"
 	"strings"
 	"sync"
 	"testing"
@@ -41,68 +37,41 @@ var goldenServerSpecs = []struct {
 	},
 }
 
-// ServerLatencyRecord is one spec's cold/warm measurement.
-type ServerLatencyRecord struct {
-	Spec       string  `json:"spec"`
-	ColdMS     float64 `json:"cold_ms"`
-	WarmMS     float64 `json:"warm_ms"`
-	Speedup    float64 `json:"warm_speedup"`
-	ResultSize int     `json:"result_bytes"`
+// serverLatency is one spec's cold/warm measurement.
+type serverLatency struct {
+	spec           string
+	coldMS, warmMS float64
+	speedup        float64
 }
 
-// ServerThroughputRecord is the concurrent warm-cache phase.
-type ServerThroughputRecord struct {
-	Clients        int     `json:"clients"`
-	Requests       int     `json:"requests"`
-	ElapsedMS      float64 `json:"elapsed_ms"`
-	RequestsPerSec float64 `json:"requests_per_sec"`
-	CacheHitRate   float64 `json:"cache_hit_rate"`
+// serverThroughput is the concurrent warm-cache phase.
+type serverThroughput struct {
+	requestsPerSec float64
+	cacheHitRate   float64
 }
 
 func BenchmarkServerThroughput(b *testing.B) {
-	var latencies []ServerLatencyRecord
-	var throughput ServerThroughputRecord
+	var latencies []serverLatency
+	var throughput serverThroughput
 	for i := 0; i < b.N; i++ {
 		latencies, throughput = runServerThroughput(b)
 	}
 
-	minSpeedup := latencies[0].Speedup
+	minSpeedup := latencies[0].speedup
 	for _, r := range latencies {
-		if r.Speedup < minSpeedup {
-			minSpeedup = r.Speedup
+		if r.speedup < minSpeedup {
+			minSpeedup = r.speedup
 		}
 	}
 	b.ReportMetric(minSpeedup, "min_warm_speedup")
-	b.ReportMetric(throughput.RequestsPerSec, "warm_req/sec")
-	b.ReportMetric(throughput.CacheHitRate, "hit_rate")
+	b.ReportMetric(throughput.requestsPerSec, "warm_req/sec")
+	b.ReportMetric(throughput.cacheHitRate, "hit_rate")
 	if minSpeedup < 100 {
-		b.Errorf("warm-cache speedup %.1fx below the 100x acceptance bar", minSpeedup)
-	}
-
-	out := struct {
-		Description string                 `json:"description"`
-		MinSpeedup  float64                `json:"min_warm_speedup"`
-		Latencies   []ServerLatencyRecord  `json:"latencies"`
-		Throughput  ServerThroughputRecord `json:"concurrent_warm_throughput"`
-	}{
-		Description: "sunfloor-server request latency on the golden-corpus specs: cold " +
-			"(synthesizing) vs warm (content-addressed cache hit, byte-identical body), " +
-			"plus concurrent warm-cache throughput. " +
-			"Regenerate with: go test -bench=ServerThroughput -benchtime=1x",
-		MinSpeedup: minSpeedup,
-		Latencies:  latencies,
-		Throughput: throughput,
-	}
-	data, err := json.MarshalIndent(out, "", "  ")
-	if err != nil {
-		b.Fatal(err)
-	}
-	if err := os.WriteFile("BENCH_PR6.json", append(data, '\n'), 0o644); err != nil {
-		b.Fatal(err)
+		b.Errorf("warm-cache speedup %.1fx below the 100x acceptance bar (%+v)", minSpeedup, latencies)
 	}
 }
 
-func runServerThroughput(b *testing.B) ([]ServerLatencyRecord, ServerThroughputRecord) {
+func runServerThroughput(b *testing.B) ([]serverLatency, serverThroughput) {
 	b.Helper()
 	s, err := server.New(server.Config{CacheDir: b.TempDir(), Workers: 8})
 	if err != nil {
@@ -127,7 +96,7 @@ func runServerThroughput(b *testing.B) ([]ServerLatencyRecord, ServerThroughputR
 
 	// Phase 1: cold and warm latency per golden spec, with byte-identity.
 	const warmSamples = 32
-	var latencies []ServerLatencyRecord
+	var latencies []serverLatency
 	for _, spec := range goldenServerSpecs {
 		cold, coldDur := post(spec.Body)
 		var warmTotal time.Duration
@@ -140,12 +109,11 @@ func runServerThroughput(b *testing.B) ([]ServerLatencyRecord, ServerThroughputR
 		}
 		warmMS := warmTotal.Seconds() * 1e3 / warmSamples
 		coldMS := coldDur.Seconds() * 1e3
-		latencies = append(latencies, ServerLatencyRecord{
-			Spec:       spec.Name,
-			ColdMS:     coldMS,
-			WarmMS:     warmMS,
-			Speedup:    coldMS / warmMS,
-			ResultSize: len(cold),
+		latencies = append(latencies, serverLatency{
+			spec:    spec.Name,
+			coldMS:  coldMS,
+			warmMS:  warmMS,
+			speedup: coldMS / warmMS,
 		})
 	}
 
@@ -182,13 +150,9 @@ func runServerThroughput(b *testing.B) ([]ServerLatencyRecord, ServerThroughputR
 	st := s.Cache().Stats()
 	hits := st.MemHits + st.DiskHits + st.Shared
 	hitRate := float64(hits) / float64(hits+st.Misses)
-	throughput := ServerThroughputRecord{
-		Clients:        clients,
-		Requests:       clients * perClient,
-		ElapsedMS:      elapsed.Seconds() * 1e3,
-		RequestsPerSec: float64(clients*perClient) / elapsed.Seconds(),
-		CacheHitRate:   hitRate,
+	throughput := serverThroughput{
+		requestsPerSec: float64(clients*perClient) / elapsed.Seconds(),
+		cacheHitRate:   hitRate,
 	}
-
 	return latencies, throughput
 }
