@@ -6,6 +6,9 @@ package sunfloor3d_test
 
 import (
 	"bytes"
+	"fmt"
+	"reflect"
+	"strconv"
 	"strings"
 	"testing"
 
@@ -129,4 +132,46 @@ func TestLoadBenchmark(t *testing.T) {
 		strings.NewReader("flow a ghost 100 0 request\n")); err == nil {
 		t.Error("LoadBenchmark with an unknown flow endpoint should fail")
 	}
+}
+
+// renderGenSpec writes every field of a spec back in ParseGenSpec's
+// key=value form, in a fixed key order. Floats use the shortest
+// representation that parses back to the same value.
+func renderGenSpec(s sunfloor3d.GenSpec) string {
+	f := func(v float64) string { return strconv.FormatFloat(v, 'g', -1, 64) }
+	return fmt.Sprintf("shape=%s,cores=%d,layers=%d,seed=%d,memfrac=%s,apps=%d,hubs=%d,bandwidth=%s,spread=%s,slack=%s,unconstrained=%s",
+		s.Shape, s.Cores, s.Layers, s.Seed, f(s.MemoryFraction), s.Apps, s.Hubs,
+		f(s.MeanBandwidthMBps), f(s.BandwidthSpread), f(s.LatencySlack), f(s.UnconstrainedFraction))
+}
+
+// FuzzParseGenSpec checks the -gen string boundary: ParseGenSpec never
+// panics, and an accepted spec, rendered key by key in a fixed order,
+// parses back to an equal spec.
+func FuzzParseGenSpec(f *testing.F) {
+	f.Add("shape=hotspot,cores=40,layers=3,seed=7")
+	f.Add("shape=multiapp,cores=27,layers=3,seed=2,apps=4")
+	f.Add(" shape=layered , cores=20,,layers=2,seed=-1,")
+	f.Add("memfrac=0.5,hubs=3,bandwidth=1e3,spread=0.25,slack=1.5,unconstrained=-0")
+	f.Add("cores=+8,seed=9223372036854775807,memfrac=0x1p-2")
+	f.Add("shape=pipeline,cores=300")
+	f.Add("slack=NaN")
+	f.Add("bandwidth=Inf,spread=1")
+	f.Add("cores")
+	f.Add("ghost=1")
+	f.Add("=,=")
+	f.Add("")
+	f.Fuzz(func(t *testing.T, s string) {
+		spec, err := sunfloor3d.ParseGenSpec(s)
+		if err != nil {
+			return
+		}
+		r := renderGenSpec(spec)
+		again, err := sunfloor3d.ParseGenSpec(r)
+		if err != nil {
+			t.Fatalf("%q parsed to %+v, whose rendering %q is rejected: %v", s, spec, r, err)
+		}
+		if !reflect.DeepEqual(spec, again) {
+			t.Fatalf("%q parsed to %+v, its rendering %q to %+v", s, spec, r, again)
+		}
+	})
 }

@@ -4,9 +4,11 @@ package route_test
 // graphs and switch assignments must never panic the router, the committed
 // paths must validate and stay deadlock free (acyclic CDG), and the
 // incrementally maintained cost graph must return byte-identical results to
-// the full-rebuild reference implementation.
+// the full-rebuild reference implementation. A run that stops at the first
+// unroutable flow must agree with the full run up to that flow.
 
 import (
+	"reflect"
 	"testing"
 
 	"sunfloor3d/internal/model"
@@ -133,6 +135,10 @@ func FuzzComputePaths(f *testing.F) {
 	f.Add([]byte{9, 3, 5, 15, 200, 100, 50, 25, 12, 6, 3, 1, 0, 255, 128, 64, 32, 16, 8, 4, 2, 1})
 	f.Add([]byte{2, 1, 1, 1, 0, 1, 10, 0})
 	f.Add([]byte{10, 3, 6, 16, 7, 7, 7, 7, 7, 7, 7, 7, 7, 7, 7, 7, 7, 7, 7, 7, 7, 7, 7, 7})
+	// Flows 3, 4 and 10 fail; in routing order flow 10 fails first, after
+	// five routed flows, so the fail-fast arm checks a stop that is neither
+	// the first routed flow nor the lowest failed flow index.
+	f.Add([]byte{0x94, 0x3e, 0x64, 0x4a, 0x5b, 0x55, 0xf4})
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		g, build := buildScenario(data)
@@ -190,6 +196,8 @@ func FuzzComputePaths(f *testing.F) {
 			}
 		}
 
+		checkStopAtFirstFailure(t, g, build, cfg, incRes, incTop)
+
 		// CommittedPaths must mirror the routes without aliasing.
 		paths := route.CommittedPaths(incTop)
 		for fl, p := range paths {
@@ -199,4 +207,99 @@ func FuzzComputePaths(f *testing.F) {
 			}
 		}
 	})
+}
+
+// checkStopAtFirstFailure routes the scenario again with StopAtFirstFailure
+// and compares it with the full run: the same success verdict; on success
+// the same result and routes; on failure exactly one reported flow, the
+// first flow in routing order that the full run failed, with the routes
+// committed before it identical to the full run's.
+func checkStopAtFirstFailure(t *testing.T, g *model.CommGraph, build func() *topology.Topology, cfg route.Config, full route.Result, fullTop *topology.Topology) {
+	t.Helper()
+	top := build()
+	cfg.StopAtFirstFailure = true
+	res, err := route.ComputePaths(top, cfg)
+	if err != nil {
+		t.Fatalf("fail-fast run errs where the full run does not: %v", err)
+	}
+	if res.Success() != full.Success() {
+		t.Fatalf("fail-fast success %v, full run %v", res.Success(), full.Success())
+	}
+	if res.Success() {
+		if res.Routed != full.Routed || res.IndirectSwitches != full.IndirectSwitches ||
+			res.DeadlockRetries != full.DeadlockRetries || !routesEqual(top, fullTop) {
+			t.Fatalf("successful fail-fast run diverges:\nfail-fast %+v\nfull      %+v", res, full)
+		}
+		return
+	}
+	if len(res.Failed) != 1 {
+		t.Fatalf("fail-fast run reports %d failed flows %v, want 1", len(res.Failed), res.Failed)
+	}
+	order := g.FlowsByBandwidth()
+	first := -1
+	for i, f := range order {
+		for _, ff := range full.Failed {
+			if f == ff {
+				first = i
+				break
+			}
+		}
+		if first >= 0 {
+			break
+		}
+	}
+	if res.Failed[0] != order[first] {
+		t.Fatalf("fail-fast run stopped at flow %d, the full run first failed flow %d", res.Failed[0], order[first])
+	}
+	if res.Routed != first {
+		t.Fatalf("fail-fast run routed %d flows before stopping, want %d", res.Routed, first)
+	}
+	for _, f := range order[:first] {
+		a, b := top.Routes[f].Switches, fullTop.Routes[f].Switches
+		if len(a) != len(b) {
+			t.Fatalf("flow %d: fail-fast route %v, full route %v", f, a, b)
+		}
+		for i := range a {
+			if a[i] != b[i] {
+				t.Fatalf("flow %d: fail-fast route %v, full route %v", f, a, b)
+			}
+		}
+	}
+}
+
+// TestStopAtFirstFailureAfterIndirectSwitch covers a case the fuzz scenarios
+// never reach: a flow rescued by an indirect switch before the first
+// unroutable flow. With adjacent-layer links only, flow 0 (layer 0 to 2)
+// needs an indirect switch on layer 1, and flow 1 (layer 0 to 5) cannot be
+// routed because no switch sits on layer 3 or 4.
+func TestStopAtFirstFailureAfterIndirectSwitch(t *testing.T) {
+	cores := []model.Core{
+		{Name: "a", Width: 1, Height: 1, Layer: 0},
+		{Name: "b", Width: 1, Height: 1, X: 2, Layer: 2},
+		{Name: "c", Width: 1, Height: 1, X: 4, Layer: 5},
+	}
+	flows := []model.Flow{{Src: 0, Dst: 1, BandwidthMBps: 300}, {Src: 0, Dst: 2, BandwidthMBps: 100}}
+	g, err := model.NewCommGraph(cores, flows)
+	if err != nil {
+		t.Fatal(err)
+	}
+	build := func() *topology.Topology {
+		top := topology.New(g, noclib.DefaultLibrary(), 400)
+		for c, core := range cores {
+			top.AttachCore(c, top.AddSwitch(core.Layer))
+		}
+		top.EstimateSwitchPositions()
+		return top
+	}
+	cfg := route.DefaultConfig()
+	cfg.AdjacentLayersOnly = true
+	fullTop := build()
+	full, err := route.ComputePaths(fullTop, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if full.IndirectSwitches != 1 || !reflect.DeepEqual(full.Failed, []int{1}) {
+		t.Fatalf("full run %+v, want one indirect switch and flow 1 failed", full)
+	}
+	checkStopAtFirstFailure(t, g, build, cfg, full, fullTop)
 }

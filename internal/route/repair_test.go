@@ -109,6 +109,22 @@ func TestRepairRoutesCertifiesDeadPlans(t *testing.T) {
 	}
 }
 
+// TestRepairRoutesIgnoresStopAtFirstFailure checks that a repair reports
+// every unroutable flow even when handed a config that asks ComputePaths to
+// stop at the first one.
+func TestRepairRoutesIgnoresStopAtFirstFailure(t *testing.T) {
+	cfg := DefaultConfig()
+	cfg.StopAtFirstFailure = true
+	// Killing s0->s2 and s2->s1 strands flows 1 and 2 with no detour.
+	res, err := RepairRoutes(triangleTopology(t), cfg, [][2]int{{0, 2}, {2, 1}})
+	if err != nil {
+		t.Fatalf("RepairRoutes: %v", err)
+	}
+	if want := []int{1, 2}; !reflect.DeepEqual(res.Unroutable, want) {
+		t.Fatalf("Unroutable = %v, want %v", res.Unroutable, want)
+	}
+}
+
 func TestRepairRoutesRejectsUnknownDeadLink(t *testing.T) {
 	top := triangleTopology(t)
 	// s1->s2 exists only in the reverse direction; it was never fabricated.

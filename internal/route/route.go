@@ -51,6 +51,14 @@ type Config struct {
 	// reference implementation for equivalence tests and before/after
 	// benchmarks; production runs should leave it off.
 	FullRebuild bool
+	// StopAtFirstFailure ends the run at the first flow, in routing order,
+	// that cannot be routed: Result.Failed then lists that one flow, and the
+	// routes committed before it are exactly those of the full run. It is
+	// for callers that discard every point with an unroutable flow, which
+	// learn that verdict without routing the rest. The topology is left
+	// partially routed, so it must not be evaluated or repaired afterwards;
+	// RepairRoutes ignores the field.
+	StopAtFirstFailure bool
 }
 
 // DefaultConfig returns the configuration used by the experiments: a blend
@@ -154,6 +162,9 @@ func ComputePaths(t *topology.Topology, cfg Config) (Result, error) {
 			}
 		} else {
 			res.Failed = append(res.Failed, f)
+		}
+		if cfg.StopAtFirstFailure && len(res.Failed) > 0 {
+			break
 		}
 	}
 	sort.Ints(res.Failed)

@@ -1,6 +1,7 @@
 package synth
 
 import (
+	"context"
 	"fmt"
 	"math/rand"
 	"reflect"
@@ -158,6 +159,123 @@ func TestPartitionCacheMatchesDirectCalls(t *testing.T) {
 	lookups := workers * entries
 	if st := c.stats(); st.Misses != entries || st.Hits+st.Misses != lookups {
 		t.Errorf("cache stats %+v, want %d misses out of %d lookups", st, entries, lookups)
+	}
+}
+
+// TestPartitionCacheCountsPinned pins the partition-cache hit and miss
+// counts of two designs of the D_36_8 400/600/800 MHz sweep, as they
+// stood before the sweep skipped any retry work. Algorithm 1 still fetches
+// the partition of every retry it skips or stops early, so the counts match
+// a replay that routes every retry.
+func TestPartitionCacheCountsPinned(t *testing.T) {
+	want := []CacheStats{{Hits: 207, Misses: 244}, {Hits: 201, Misses: 249}}
+	for i, w := range want {
+		seed := int64(i + 1)
+		opt := DefaultOptions()
+		opt.FrequenciesMHz = []float64{400, 600, 800}
+		opt.Parallelism = 2
+		res, err := Synthesize(bench.ByNameMust("D_36_8", seed).Graph3D, opt)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if res.Cache != w {
+			t.Errorf("D_36_8 seed %d: cache %+v, want %+v", seed, res.Cache, w)
+		}
+	}
+}
+
+// TestThetaRetriesMatchFullRetries checks the theta retry loop, which skips
+// retries repeating an earlier core assignment and stops the others at their
+// first unroutable flow, against building every attempt in full: each switch
+// count must hold the first valid point among its theta = 0 build and its
+// retries in ThetaSweep order, and a count whose every attempt is invalid
+// must hold its invalid theta = 0 point or a Phase-2 fallback point. Routes
+// are compared rather than metrics, which the LP refinement of the best
+// point changes. D_26_media under max_ill 4 meets counts with retries.
+func TestThetaRetriesMatchFullRetries(t *testing.T) {
+	g := bench.D26Media(1).Graph3D
+	opt := DefaultOptions()
+	opt.FrequenciesMHz = []float64{400, 600, 800}
+	opt.MaxILL = 4
+	res, err := Synthesize(g, opt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cache := newPartitionCache(g, opt.Partition)
+	thetas := append([]float64{0}, opt.Partition.ThetaSweep()...)
+	retried := 0
+	for _, dp := range res.Points {
+		k := dp.SwitchCount
+		var first *DesignPoint
+		for _, theta := range thetas {
+			full := buildPhase1Point(g, opt, dp.FreqMHz, cache.coreAssignment(cache.pg(theta), theta, k), k, theta, false)
+			if full.Valid {
+				first = &full
+				break
+			}
+		}
+		switch {
+		case first == nil:
+			if dp.Phase == 1 && (dp.Valid || dp.Theta != 0) {
+				t.Errorf("%.0f MHz, %d switches: no attempt is valid, but the Result holds a phase-1 point at theta %g", dp.FreqMHz, k, dp.Theta)
+			}
+		case dp.Phase != 1 || dp.Theta != first.Theta || !reflect.DeepEqual(dp.Route, first.Route):
+			t.Errorf("%.0f MHz, %d switches: Result holds phase %d theta %g, the first valid attempt is theta %g", dp.FreqMHz, k, dp.Phase, dp.Theta, first.Theta)
+		case first.Theta > 0:
+			retried++
+		}
+	}
+	if retried == 0 {
+		t.Fatal("no switch count was met by a retry; the design no longer exercises the retry loop")
+	}
+}
+
+// TestPhase2FallbackMatchesFullSweep checks the Phase-2 fallback, which
+// builds only the points that fill an unmet switch count and stops their
+// routing at the first unroutable flow, against the full Phase-2 sweep of
+// each frequency. A count the fallback filled must hold the first valid full
+// Phase-2 point of that count; a count left invalid must have none. D_26_media
+// under max_ill 2 leaves counts unmet that the fallback fills.
+func TestPhase2FallbackMatchesFullSweep(t *testing.T) {
+	g := bench.D26Media(1).Graph3D
+	opt := DefaultOptions()
+	opt.FrequenciesMHz = []float64{400, 600, 800}
+	opt.MaxILL = 2
+	res, err := Synthesize(g, opt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// firstValid[freq][count] is the first valid point of the full sweep.
+	firstValid := make(map[float64]map[int]DesignPoint)
+	for _, freq := range opt.FrequenciesMHz {
+		p := newPool(context.Background(), opt)
+		full, err := phase2Sweep(g, opt, freq, newPartitionCache(g, opt.Partition), p, nil)
+		p.close()
+		if err != nil {
+			t.Fatal(err)
+		}
+		firstValid[freq] = make(map[int]DesignPoint)
+		for _, dp := range full {
+			if _, seen := firstValid[freq][dp.SwitchCount]; dp.Valid && !seen {
+				firstValid[freq][dp.SwitchCount] = dp
+			}
+		}
+	}
+	filled := 0
+	for _, dp := range res.Points {
+		want, ok := firstValid[dp.FreqMHz][dp.SwitchCount]
+		switch {
+		case dp.Phase == 2:
+			filled++
+			if !ok || !reflect.DeepEqual(dp.Metrics, want.Metrics) || !reflect.DeepEqual(dp.Route, want.Route) {
+				t.Errorf("%.0f MHz, %d switches: fallback point differs from the full sweep's first valid point", dp.FreqMHz, dp.SwitchCount)
+			}
+		case !dp.Valid && ok:
+			t.Errorf("%.0f MHz, %d switches: left invalid, but the full Phase-2 sweep has a valid point", dp.FreqMHz, dp.SwitchCount)
+		}
+	}
+	if filled == 0 {
+		t.Fatal("the fallback filled no switch count; the design no longer exercises it")
 	}
 }
 

@@ -16,7 +16,14 @@ type Event struct {
 	// Total is the number of design points scheduled so far. It can grow
 	// while the run is in progress: the theta rescaling loop and the Phase-2
 	// fallback of Algorithm 1 schedule additional points only when the
-	// initial sweep leaves switch counts unmet.
+	// initial sweep leaves switch counts unmet. Every scheduled point emits
+	// exactly one event, including the ones Algorithm 1 skips or cuts short
+	// because their result would be discarded: a theta retry repeating an
+	// already failed core assignment, a theta retry or fallback point whose
+	// routing stopped at the first unroutable flow, and a fallback point
+	// filling no unmet switch count. Their FailReason names the shortcut
+	// (ReasonDuplicateRetry, ReasonFirstUnroutable, ReasonUnneededFallback),
+	// and none of them reaches Result.Points.
 	Total int
 	// Point is the design point that just finished (valid or not).
 	Point DesignPoint

@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 	"sync"
 	"time"
@@ -332,7 +333,7 @@ func timed(build func() DesignPoint) DesignPoint {
 func synthesizeAtFrequency(g *model.CommGraph, opt Options, freq float64, cache *partitionCache, p *pool) ([]DesignPoint, error) {
 	switch opt.Phase {
 	case Phase2Only:
-		return phase2Sweep(g, opt, freq, cache, p)
+		return phase2Sweep(g, opt, freq, cache, p, nil)
 	case Phase1Only:
 		return phase1Sweep(g, opt, freq, false, cache, p)
 	default:
@@ -341,12 +342,38 @@ func synthesizeAtFrequency(g *model.CommGraph, opt Options, freq float64, cache 
 	}
 }
 
+// FailReason prefixes of the design points Algorithm 1 schedules but whose
+// result it would discard, so it skips or shortens their work instead. Such
+// points never reach Result.Points: a theta retry replaces its switch
+// count's point only when valid, and a Phase-2 fallback point is used only
+// when valid and its total switch count is still unmet. They still emit
+// their progress event, so Event.Done and Event.Total are unchanged.
+const (
+	// ReasonDuplicateRetry marks a theta retry whose core assignment equals
+	// one already tried, and failed, for the same switch count and
+	// frequency. The topology is a function of the design, library,
+	// frequency and blocks alone, so the retry would fail the same way.
+	ReasonDuplicateRetry = "skipped: theta retry repeats an earlier core assignment"
+	// ReasonFirstUnroutable marks a theta retry or Phase-2 fallback point
+	// whose routing stopped at its first unroutable flow
+	// (route.Config.StopAtFirstFailure): the point is invalid either way.
+	ReasonFirstUnroutable = "stopped at the first unroutable flow"
+	// ReasonUnneededFallback marks a Phase-2 fallback point whose total
+	// switch count is not among the unmet counts, so it could not be used.
+	ReasonUnneededFallback = "skipped: Phase-2 fallback point fills no unmet switch count"
+)
+
 // phase1Sweep implements Algorithm 1. The initial sweep over switch counts
 // and every theta retry round fan out onto the worker pool; the rounds
 // themselves stay sequential because each one only re-attempts the counts the
 // previous round left unmet. When fallbackPhase2 is set, switch counts that
 // remain unmet after the theta sweep are retried with the layer-by-layer
 // method.
+//
+// A retry is discarded unless it is valid, so retries route with
+// StopAtFirstFailure, and a retry whose core assignment repeats an earlier
+// attempt of its switch count is not built at all (ReasonDuplicateRetry).
+// Both shortcuts leave the Result unchanged.
 func phase1Sweep(g *model.CommGraph, opt Options, freq float64, fallbackPhase2 bool, cache *partitionCache, p *pool) ([]DesignPoint, error) {
 	// The explorer restricts the swept switch counts to an explicit list;
 	// the classic sweep covers 1..NumCores. countOf maps a sweep slot to its
@@ -374,11 +401,28 @@ func phase1Sweep(g *model.CommGraph, opt Options, freq float64, fallbackPhase2 b
 		}
 		return -1 // unreachable: retries only hold swept counts
 	}
+	// tried[slot] lists the core assignments already attempted for the
+	// slot's switch count, all of which failed once the count is retried.
+	tried := make([][][]int, n)
 	pg := cache.pg(0)
 	points := make([]DesignPoint, n)
 	err := p.forEach(n,
 		func(i int) DesignPoint {
-			return timed(func() DesignPoint { return buildPhase1Point(g, opt, freq, cache, pg, countOf(i), 0) })
+			return timed(func() DesignPoint {
+				k := countOf(i)
+				// Branch and bound (explorer only): the bound is a function
+				// of the frequency and switch count alone, so a pruned count
+				// would be pruned identically on every theta retry and the
+				// Phase-2 fallback.
+				if opt.explPrune != nil {
+					if reason := opt.explPrune(k); reason != "" {
+						return DesignPoint{FreqMHz: freq, SwitchCount: k, Pruned: true, FailReason: reason}
+					}
+				}
+				assign := cache.coreAssignment(pg, 0, k)
+				tried[i] = [][]int{assign}
+				return buildPhase1Point(g, opt, freq, assign, k, 0, false)
+			})
 		},
 		func(i int, dp DesignPoint) { points[i] = dp })
 	if err != nil {
@@ -402,9 +446,19 @@ func phase1Sweep(g *model.CommGraph, opt Options, freq float64, fallbackPhase2 b
 			}
 			spg := cache.pg(theta)
 			retried := make([]DesignPoint, len(unmet))
+			assigns := make([][]int, len(unmet))
 			err := p.forEach(len(unmet),
 				func(j int) DesignPoint {
-					return timed(func() DesignPoint { return buildPhase1Point(g, opt, freq, cache, spg, unmet[j], theta) })
+					return timed(func() DesignPoint {
+						k := unmet[j]
+						assigns[j] = cache.coreAssignment(spg, theta, k)
+						for _, a := range tried[slotOf(k)] {
+							if slices.Equal(a, assigns[j]) {
+								return DesignPoint{FreqMHz: freq, SwitchCount: k, Phase: 1, Theta: theta, FailReason: ReasonDuplicateRetry}
+							}
+						}
+						return buildPhase1Point(g, opt, freq, assigns[j], k, theta, true)
+					})
 				},
 				func(j int, dp DesignPoint) { retried[j] = dp })
 			if err != nil {
@@ -412,11 +466,13 @@ func phase1Sweep(g *model.CommGraph, opt Options, freq float64, fallbackPhase2 b
 			}
 			var still []int
 			for j, dp := range retried {
+				slot := slotOf(unmet[j])
 				if dp.Valid {
-					points[slotOf(unmet[j])] = dp
-				} else {
-					still = append(still, unmet[j])
+					points[slot] = dp
+					continue
 				}
+				still = append(still, unmet[j])
+				tried[slot] = append(tried[slot], assigns[j])
 			}
 			unmet = still
 		}
@@ -424,7 +480,7 @@ func phase1Sweep(g *model.CommGraph, opt Options, freq float64, fallbackPhase2 b
 
 	// Optional Phase-2 fallback for counts that even the SPG could not fix.
 	if fallbackPhase2 && len(unmet) > 0 && g.NumLayers() > 1 {
-		p2, err := phase2Sweep(g, opt, freq, cache, p)
+		p2, err := phase2Sweep(g, opt, freq, cache, p, unmet)
 		if err != nil {
 			return nil, err
 		}
@@ -441,21 +497,12 @@ func phase1Sweep(g *model.CommGraph, opt Options, freq float64, fallbackPhase2 b
 	return points, nil
 }
 
-// buildPhase1Point builds and evaluates one Phase-1 design point for the
-// given switch count, fetching the core partition of pg (the PG for theta 0,
-// the theta-scaled SPG otherwise) from the sweep-wide cache.
-func buildPhase1Point(g *model.CommGraph, opt Options, freq float64, cache *partitionCache, pg *graph.Graph, switches int, theta float64) DesignPoint {
-	// Branch and bound (explorer only): the bound is build-independent — a
-	// function of the frequency and switch count alone — so a count pruned
-	// here is pruned identically on the initial sweep, every theta retry and
-	// the Phase-2 fallback, and phase1Sweep never retries it.
-	if opt.explPrune != nil {
-		if reason := opt.explPrune(switches); reason != "" {
-			return DesignPoint{FreqMHz: freq, SwitchCount: switches, Pruned: true, FailReason: reason}
-		}
-	}
+// buildPhase1Point builds and evaluates the Phase-1 design point of the
+// given core assignment (a switch-count-way partition of the PG for theta
+// 0, of the theta-scaled SPG otherwise). failFast routes with
+// StopAtFirstFailure, for points that are discarded unless valid.
+func buildPhase1Point(g *model.CommGraph, opt Options, freq float64, assign []int, switches int, theta float64, failFast bool) DesignPoint {
 	dp := DesignPoint{FreqMHz: freq, SwitchCount: switches, Phase: 1, Theta: theta}
-	assign := cache.coreAssignment(pg, theta, switches)
 	blocks := graph.Blocks(assign, switches)
 
 	top := topology.New(g, opt.Lib, freq)
@@ -492,19 +539,23 @@ func buildPhase1Point(g *model.CommGraph, opt Options, freq float64, cache *part
 			top.MaxInterLayerLinks(), opt.MaxILL)
 		return dp
 	}
-	return finishPoint(top, opt, freq, dp)
+	return runAndEvaluate(top, opt, routeConfig(opt, freq, false), dp, failFast)
 }
 
 // phase2Sweep implements Algorithm 2: layer-by-layer core-to-switch
 // connectivity with adjacent-layer-only vertical links. Every sweep step
 // (number of extra switches per layer) is an independent design point
-// evaluated on the worker pool.
-func phase2Sweep(g *model.CommGraph, opt Options, freq float64, cache *partitionCache, p *pool) ([]DesignPoint, error) {
+// evaluated on the worker pool. want, when non-nil, lists the total switch
+// counts the Phase-1 fallback can still use: the other points are not built
+// (ReasonUnneededFallback) and the built ones route with
+// StopAtFirstFailure, since only valid points are used. A standalone
+// Phase-2 sweep passes nil and keeps every point.
+func phase2Sweep(g *model.CommGraph, opt Options, freq float64, cache *partitionCache, p *pool, want []int) ([]DesignPoint, error) {
 	lpgs, minPerLayer, maxExtra := phase2Plan(opt, freq, cache)
 	points := make([]DesignPoint, maxExtra+1)
 	err := p.forEach(maxExtra+1,
 		func(i int) DesignPoint {
-			return timed(func() DesignPoint { return buildPhase2Point(g, opt, freq, cache, lpgs, minPerLayer, i) })
+			return timed(func() DesignPoint { return buildPhase2Point(g, opt, freq, cache, lpgs, minPerLayer, i, want) })
 		},
 		func(i int, dp DesignPoint) { points[i] = dp })
 	if err != nil {
@@ -541,11 +592,13 @@ func phase2Plan(opt Options, freq float64, cache *partitionCache) (lpgs []partit
 }
 
 // buildPhase2Point builds and evaluates the Phase-2 design point with `extra`
-// switches per layer beyond each layer's minimum.
-func buildPhase2Point(g *model.CommGraph, opt Options, freq float64, cache *partitionCache, lpgs []partition.LPG, minPerLayer []int, extra int) DesignPoint {
+// switches per layer beyond each layer's minimum. want is phase2Sweep's
+// fallback filter. Every layer partition is fetched even for a skipped
+// point, so the partition-cache counts do not depend on the filter.
+func buildPhase2Point(g *model.CommGraph, opt Options, freq float64, cache *partitionCache, lpgs []partition.LPG, minPerLayer []int, extra int, want []int) DesignPoint {
 	dp := DesignPoint{FreqMHz: freq, Phase: 2}
-	top := topology.New(g, opt.Lib, freq)
-	totalSwitches := 0
+	nps := make([]int, len(lpgs))
+	assigns := make([]map[int]int, len(lpgs))
 	for j, l := range lpgs {
 		if len(l.Vertices) == 0 {
 			continue
@@ -557,34 +610,31 @@ func buildPhase2Point(g *model.CommGraph, opt Options, freq float64, cache *part
 		if np < 1 {
 			np = 1
 		}
-		assignment := cache.lpgAssignment(j, l, np)
+		nps[j] = np
+		assigns[j] = cache.lpgAssignment(j, l, np)
+		dp.SwitchCount += np
+	}
+	if want != nil && !slices.Contains(want, dp.SwitchCount) {
+		dp.FailReason = ReasonUnneededFallback
+		return dp
+	}
+	top := topology.New(g, opt.Lib, freq)
+	for j, l := range lpgs {
+		if nps[j] == 0 {
+			continue
+		}
 		// Create one switch per block on this layer.
-		swOf := make(map[int]int, np)
-		for b := 0; b < np; b++ {
+		swOf := make(map[int]int, nps[j])
+		for b := 0; b < nps[j]; b++ {
 			swOf[b] = top.AddSwitch(l.Layer)
 		}
-		totalSwitches += np
 		//determlint:ordered AttachCore writes CoreAttach[core] exactly once per distinct core; keyed writes commute, so attachment state is order-independent
-		for core, block := range assignment {
+		for core, block := range assigns[j] {
 			top.AttachCore(core, swOf[block])
 		}
 	}
-	dp.SwitchCount = totalSwitches
 	top.EstimateSwitchPositions()
-	return finishPoint2(top, opt, freq, dp)
-}
-
-// finishPoint routes, optionally LP-places, evaluates and validates a Phase-1
-// design point.
-func finishPoint(top *topology.Topology, opt Options, freq float64, dp DesignPoint) DesignPoint {
-	cfg := routeConfig(opt, freq, false)
-	return runAndEvaluate(top, opt, cfg, dp)
-}
-
-// finishPoint2 does the same for a Phase-2 point (adjacent layers only).
-func finishPoint2(top *topology.Topology, opt Options, freq float64, dp DesignPoint) DesignPoint {
-	cfg := routeConfig(opt, freq, true)
-	return runAndEvaluate(top, opt, cfg, dp)
+	return runAndEvaluate(top, opt, routeConfig(opt, freq, true), dp, want != nil)
 }
 
 func routeConfig(opt Options, freq float64, adjacentOnly bool) route.Config {
@@ -599,8 +649,14 @@ func routeConfig(opt Options, freq float64, adjacentOnly bool) route.Config {
 	return cfg
 }
 
-func runAndEvaluate(top *topology.Topology, opt Options, cfg route.Config, dp DesignPoint) DesignPoint {
-	res, err := route.ComputePaths(top, cfg)
+// runAndEvaluate routes, optionally LP-places, evaluates and validates a
+// built design point, then attaches the estimates and reports the options
+// request. failFast routes with StopAtFirstFailure; cfg itself, which the
+// fault replay reuses, never carries it.
+func runAndEvaluate(top *topology.Topology, opt Options, cfg route.Config, dp DesignPoint, failFast bool) DesignPoint {
+	rcfg := cfg
+	rcfg.StopAtFirstFailure = failFast
+	res, err := route.ComputePaths(top, rcfg)
 	dp.Topology = top
 	if err != nil {
 		dp.FailReason = err.Error()
@@ -608,7 +664,11 @@ func runAndEvaluate(top *topology.Topology, opt Options, cfg route.Config, dp De
 	}
 	dp.Route = res
 	if !res.Success() {
-		dp.FailReason = fmt.Sprintf("%d flows could not be routed", len(res.Failed))
+		if failFast {
+			dp.FailReason = fmt.Sprintf("%s (flow %d)", ReasonFirstUnroutable, res.Failed[0])
+		} else {
+			dp.FailReason = fmt.Sprintf("%d flows could not be routed", len(res.Failed))
+		}
 		return dp
 	}
 	if opt.RunLPPlacement {

@@ -294,7 +294,10 @@ type Event struct {
 	// Total is the number of design points scheduled so far. It can grow
 	// while the run is in progress: the theta rescaling loop and the Phase-2
 	// fallback schedule additional points only when the initial sweep leaves
-	// switch counts unmet.
+	// switch counts unmet. Every scheduled point emits one event, also the
+	// retries and fallback points the engine skips or stops at their first
+	// unroutable flow because their result would be discarded; their
+	// FailReason says so, and they never appear in Result.Points.
 	Total int `json:"total"`
 	// Point is the design point that just finished (valid or not).
 	Point DesignPoint `json:"point"`
